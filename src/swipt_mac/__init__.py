@@ -5,7 +5,8 @@ harvested energy.
 Modules
 -------
 models            EH / decoding-cost model families and parameter records
-numerics          bisection, scan+golden maximization, 2x2 linear solve
+numerics          scalar and batched root finding, scan+golden maximization,
+                  2x2 linear solve
 region            boundary curves, time-sharing hulls, dominance metrics
 classical_simul   simultaneous decoding: bounds, breakpoints, MDRB, sum rate
 classical_sic     successive decoding: both orders, MDRB, sum rate
@@ -45,6 +46,7 @@ from .numerics import (
     ScanConfig,
     SingularMatrixError,
     bisect_root,
+    bracket_roots,
     critical_points,
     maximize_scan,
     solve_2x2,
@@ -124,6 +126,7 @@ __all__ = [
     "EvaluationError",
     "SingularMatrixError",
     "bisect_root",
+    "bracket_roots",
     "maximize_scan",
     "critical_points",
     "solve_2x2",

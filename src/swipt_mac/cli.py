@@ -30,6 +30,7 @@ from .models import (
     LinearEh,
     LogCost,
     LogisticEh,
+    ModelDomainError,
     cost_rate_cap,
 )
 from .numerics import ScanConfig
@@ -191,9 +192,13 @@ def _parse_number(key: str, raw: str) -> float:
             break
     try:
         val = float(txt)
-    except ValueError as err:
+        if scale_db:
+            val = 10.0 ** (val / 10.0)
+    except (ValueError, OverflowError) as err:
         raise ConfigError(key, f"expected a number, got {raw!r}") from err
-    return 10.0 ** (val / 10.0) if scale_db else val
+    if not math.isfinite(val):
+        raise ConfigError(key, f"expected a finite number, got {raw!r}")
+    return val
 
 
 def _read_config_file(path: str) -> dict:
@@ -577,7 +582,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_run(args)
+        try:
+            cfg = _load_run(args)
+        except ModelDomainError as err:  # a value outside a model's domain
+            raise ConfigError("<params>", str(err)) from err
         out_path = args.out or cfg.out
         if args.command == "region":
             return cmd_region(cfg, out_path)

@@ -20,13 +20,19 @@ Weighted-rate solves:
   the regression tests).  The routine reproduces those formulas faithfully
   and its validity screen (all powers >= 0, rho in [0,1]) therefore rejects
   the result for every parameter set with mu1*mu2 > 0 and beta^2*b*c != 1.
-* ``coop_solve_general`` is the load-bearing numeric solver.  The reduced
-  weighted objective J(pu1, pu2) (budgets eliminated) does not involve rho,
-  so it evaluates two candidate branches: the box maximum of J with the
-  destination constraints screened at the minimal covering rho (the
-  "interior" branch, optimal when the sum bound is slack), and a per-rho
-  nested-bisection solve of the destination cost/sum-rate equality system
-  scanned over rho (the "balanced" branch, optimal when the bound binds).
+* ``coop_solve_general`` is the load-bearing numeric solver.  It
+  parametrises operating points by (rho, pu2, p12); the budget equalities
+  then give the rest explicitly for every fee family,
+
+      r1 = 1/2*log2(1+b*p12),   p21 = P_U2 - pu2 - phi2(r1),
+      r2 = 1/2*log2(1+c*p21),   pu1 = P_U1 - p12 - phi1(r2),
+
+  so both budgets are spent exactly.  Two branches compete: the box
+  maximum of the rho-free weighted rate J(p12, pu2), screened at the
+  minimal covering rho (the "interior" branch, optimal when the sum bound
+  is slack), and a search over (rho, pu2) slices with p12 rooted on the
+  destination-cost equality (the "balanced"/"cost-tight" branch).  Every
+  search step evaluates its candidates as one numpy batch.
 """
 
 from __future__ import annotations
@@ -37,26 +43,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (
-    UNBOUNDED,
     ClassicalParams,
-    ConstCost,
     CoopParams,
     ExpCost,
-    LinCost,
     LinearEh,
-    LogCost,
     NoInverseError,
     PowerAllocation,
     RatePoint,
     SaturationError,
+    cost_rate_cap,
 )
 from .numerics import (
-    EvaluationError,
     RootConfig,
     ScanConfig,
     SingularMatrixError,
-    bisect_root,
-    maximize_scan,
+    bracket_roots,
     solve_2x2,
 )
 from .region import BoundaryCurve, upper_hull
@@ -73,7 +74,20 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_ROOT = RootConfig(abs_tol=1e-11, max_iter=100)
+_ROOT = RootConfig(abs_tol=1e-11, max_iter=150)
+_SEEDS = 9  # p12 seeds per slice that locate the cost-equality crossings
+_GRID = 17  # coarse grid of every zoom search
+_ZOOM = 9  # points per zoom level; each level narrows the bracket 4x
+_FEAS = 1e-12  # pu1 and sum-MI tolerance of a feasible point
+
+
+def _zoom_levels(golden_iters: int) -> int:
+    """Zoom levels leaving a bracket no wider than golden_iters golden steps."""
+    return math.ceil(golden_iters * math.log((1.0 + 5.0 ** 0.5) / 2.0) / math.log(4.0))
+
+
+_PU2_LEVELS = _zoom_levels(28)
+_INTERIOR_LEVELS = _zoom_levels(40)
 
 
 class NonUniqueSolutionError(ValueError):
@@ -114,33 +128,16 @@ class CoopSolution:
 
 
 # ---------------------------------------------------------------------------
-# scalar plumbing
+# plumbing
 # ---------------------------------------------------------------------------
 
 
-def _phi_scalar(cost):
-    """Fast scalar closure for a cost model (root loops call this a lot)."""
-    if isinstance(cost, ExpCost):
-        b = cost.beta
-        return lambda r: b * math.expm1(2.0 * _LOG2 * r)
-    if isinstance(cost, LogCost):
-        b = cost.beta
-        return lambda r: b * math.log1p(2.0 * r) / _LOG2
-    if isinstance(cost, LinCost):
-        b = cost.beta
-        return lambda r: 2.0 * b * r
-    if isinstance(cost, ConstCost):
-        fee = cost.phi0
-        return lambda r: fee if r > 0.0 else 0.0
-    return lambda r: float(cost.eval(r))  # pragma: no cover - future families
-
-
 class _Ctx:
-    """Per-solve scratch: unpacked parameters and scalar cost closures."""
+    """Per-solve constants of one user labelling."""
 
     __slots__ = (
         "p", "b", "c", "h1", "h2", "n", "n_p", "bud1", "bud2",
-        "phi1", "phi2", "phid", "eh", "exp_users", "beta1", "beta2", "k",
+        "phi1", "phi2", "phid", "eh", "exp_cut",
     )
 
     def __init__(self, params: CoopParams):
@@ -153,103 +150,78 @@ class _Ctx:
         self.n_p = params.n_p
         self.bud1 = params.p_u1_budget
         self.bud2 = params.p_u2_budget
-        self.phi1 = _phi_scalar(params.cost_user1)
-        self.phi2 = _phi_scalar(params.cost_user2)
-        self.phid = _phi_scalar(params.cost_dest)
+        self.phi1 = params.cost_user1.eval
+        self.phi2 = params.cost_user2.eval
+        self.phid = params.cost_dest.eval
         self.eh = params.eh
-        self.exp_users = isinstance(params.cost_user1, ExpCost) and isinstance(
+        # Exp user fees make pu1 affine in p12: pu1 = bud1 - beta1*c*q2 - k*p12
+        self.exp_cut = None
+        if isinstance(params.cost_user1, ExpCost) and isinstance(
             params.cost_user2, ExpCost
-        )
-        if self.exp_users:
-            self.beta1 = params.cost_user1.beta
-            self.beta2 = params.cost_user2.beta
-            self.k = 1.0 - self.beta1 * self.beta2 * self.b * self.c
-        else:
-            self.beta1 = self.beta2 = self.k = None
+        ):
+            beta1, beta2 = params.cost_user1.beta, params.cost_user2.beta
+            self.exp_cut = (beta1, 1.0 - beta1 * beta2 * self.b * self.c)
 
 
-def _rate(x: float) -> float:
-    return 0.5 * math.log2(1.0 + x)
+def _rate(x):
+    return np.log1p(x) / (2.0 * _LOG2)
 
 
-def _s_total(ctx: _Ctx, p12, p21, pu1, pu2) -> float:
+def _s_total(ctx: _Ctx, p12, p21, pu1, pu2):
     return (
         ctx.h1 * ctx.h1 * (p12 + pu1)
         + ctx.h2 * ctx.h2 * (p21 + pu2)
-        + 2.0 * ctx.h1 * ctx.h2 * math.sqrt(pu1 * pu2)
+        + 2.0 * ctx.h1 * ctx.h2 * np.sqrt(pu1 * pu2)
     )
 
 
-def _mi_sum(ctx: _Ctx, rho: float, s: float) -> float:
+def _mi_sum(ctx: _Ctx, rho, s):
     y = 1.0 - rho
-    return 0.5 * math.log2(1.0 + y * s / (y * ctx.n + ctx.n_p))
+    return 0.5 * np.log2(1.0 + y * s / (y * ctx.n + ctx.n_p))
 
 
-def _alloc_from_common(ctx: _Ctx, pu1: float, pu2: float):
-    """Fresh-message powers from the budget equalities at given common
-    powers, or None when the slice is infeasible (a power would go
-    negative).  Exp user costs give an affine elimination; other families
-    solve the scalar fixed point p12 = q1 - phi1(r2(p21(p12))) by
-    bisection (the map is non-decreasing in p12)."""
-    q1 = ctx.bud1 - pu1
+def _alloc(ctx: _Ctx, pu2, p12):
+    """Budget elimination at (pu2, p12), arrays broadcast.  pu1 may come
+    out negative (infeasible); p21 is clipped at 0 against roundoff, the
+    p12 span keeps it non-negative otherwise."""
+    r1 = _rate(ctx.b * p12)
+    p21 = np.maximum(ctx.bud2 - pu2 - ctx.phi2(r1), 0.0)
+    r2 = _rate(ctx.c * p21)
+    pu1 = ctx.bud1 - p12 - ctx.phi1(r2)
+    return {"p12": p12, "p21": p21, "pu1": pu1, "pu2": pu2, "r1": r1, "r2": r2}
+
+
+def _tight_eval(ctx: _Ctx, rho, pu2, p12):
+    """_alloc plus the coherent power s and the destination-cost residual."""
+    ev = _alloc(ctx, pu2, p12)
+    ev["s"] = _s_total(ctx, p12, ev["p21"], np.maximum(ev["pu1"], 0.0), pu2)
+    ev["rho"] = rho
+    ev["cost_res"] = ctx.eh.eval(rho * (ev["s"] + ctx.n)) - ctx.phid(ev["r1"] + ev["r2"])
+    return ev
+
+
+def _p12_span(ctx: _Ctx, pu2):
+    """p12 range of each pu2 slice; hi < lo marks an empty slice.
+
+    p21 >= 0 caps r1 at phi2^-1(q2) for every fee family.  With Exp user
+    fees pu1 >= 0 is an affine cut as well; other families are screened
+    point by point.
+    """
     q2 = ctx.bud2 - pu2
-    if q1 < 0.0 or q2 < 0.0:
-        return None
-    if ctx.exp_users:
-        k = ctx.k
-        if abs(k) <= 1e-12:  # exactly singular fee feedback: no finite solution
-            return None
-        # k < 0 is fine: the unique solution of the two budget identities is
-        # the same expression, and the positivity screen below carves out the
-        # (narrow) cone where it is physical.
-        p12 = (q1 - ctx.beta1 * ctx.c * q2) / k
-        p21 = (q2 - ctx.beta2 * ctx.b * q1) / k
-        if p12 < -1e-15 or p21 < -1e-15:
-            return None
-        return max(p12, 0.0), max(p21, 0.0)
-
-    def p21_of(p12):
-        return q2 - ctx.phi2(_rate(ctx.b * p12))
-
-    def resid(p12):
-        p21 = p21_of(p12)
-        if p21 < 0.0:
-            return -math.inf
-        return (q1 - ctx.phi1(_rate(ctx.c * p21))) - p12
-
-    r0 = resid(0.0)
-    if r0 < 0.0:
-        return None  # decode fee exceeds the remaining budget even at p12=0
-    if r0 == 0.0 or q1 == 0.0:
-        p12 = 0.0
-    else:
-        p12 = bisect_root(resid, 0.0, q1, RootConfig(abs_tol=1e-13, max_iter=100))
-    p21 = p21_of(p12)
-    if p21 < -1e-12:
-        return None
-    return max(p12, 0.0), max(p21, 0.0)
-
-
-def _pu1_interval(ctx: _Ctx, pu2: float):
-    """Valid pu1 slice at fixed pu2 (exact for Exp user costs)."""
-    q2 = ctx.bud2 - pu2
-    if q2 < 0.0:
-        return None
-    if ctx.exp_users:
-        if abs(ctx.k) <= 1e-12:
-            return None  # singular elimination: no finite allocation anywhere
-        # p21 >= 0 and p12 >= 0 cut the slice at the same two points for
-        # either sign of k; which one is the floor swaps with the sign.
-        cut_p21 = ctx.bud1 - q2 / (ctx.beta2 * ctx.b)
-        cut_p12 = ctx.bud1 - ctx.beta1 * ctx.c * q2
-        if ctx.k > 0.0:
-            lo, hi = max(0.0, cut_p21), min(ctx.bud1, cut_p12)
+    with np.errstate(over="ignore"):
+        r_cap = cost_rate_cap(ctx.p.cost_user2, q2, np.inf)
+        hi = np.minimum(ctx.bud1, np.expm1(2.0 * _LOG2 * r_cap) / ctx.b)
+    lo = np.zeros_like(hi)
+    if ctx.exp_cut is not None:
+        beta1, k = ctx.exp_cut
+        a = ctx.bud1 - beta1 * ctx.c * q2
+        if k > 0.0:
+            hi = np.minimum(hi, a / k)
+        elif k < 0.0:  # the cut floors p12 instead
+            lo = np.maximum(lo, a / k)
         else:
-            lo, hi = max(0.0, cut_p12), min(ctx.bud1, cut_p21)
-        if lo > hi:
-            return None
-        return lo, hi
-    return 0.0, ctx.bud1
+            hi = np.where(a >= 0.0, hi, -1.0)
+    return lo, hi
 
 
 def _covering_rho(ctx: _Ctx, fee: float, s: float):
@@ -269,283 +241,217 @@ def _covering_rho(ctx: _Ctx, fee: float, s: float):
     return min(rho, 1.0)
 
 
+def _take(rec: dict, idx) -> dict:
+    return {k: v[idx] for k, v in rec.items()}
+
+
+def _scalar(rec: dict) -> dict:
+    return {k: float(v) for k, v in rec.items()}
+
+
+def _row_best(rec: dict, x) -> dict:
+    """Per-row argmax of rec["J"] over the last axis, with x recorded."""
+    rec = {
+        k: v if np.shape(v) == x.shape else np.broadcast_to(v, x.shape)
+        for k, v in rec.items()
+    }
+    rec["x"] = x
+    col = np.argmax(rec["J"], axis=1)
+    return _take(rec, (np.arange(x.shape[0]), col))
+
+
+def _zoom_rows(evaluate, lo, hi, levels: int) -> dict:
+    """Row-wise grid maximisation on [lo_r, hi_r], all rows in lockstep.
+
+    evaluate(x, rows) returns a record of arrays shaped like x (points of
+    the given rows) whose "J" is -inf where infeasible.  A coarse _GRID
+    grid is followed by `levels` levels of _ZOOM points centred on each
+    row's incumbent.  Rows without a finite coarse sample are dropped.
+    Returns the best record of every row; the result is never worse than
+    the row's best coarse sample.
+    """
+    x = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _GRID)
+    rows = np.arange(lo.size)
+    best = _row_best(evaluate(x, rows), x)
+    h = (hi - lo) / (_GRID - 1)
+    rows = np.nonzero(np.isfinite(best["J"]))[0]
+    offsets = np.linspace(-1.0, 1.0, _ZOOM)
+    for _ in range(levels):
+        if rows.size == 0:
+            break
+        x = np.clip(
+            best["x"][rows, None] + h[rows, None] * offsets,
+            lo[rows, None],
+            hi[rows, None],
+        )
+        new = _row_best(evaluate(x, rows), x)
+        up = new["J"] > best["J"][rows]
+        for k, v in best.items():
+            v[rows[up]] = new[k][up]
+        h = h / 4.0
+    return best
+
+
 # ---------------------------------------------------------------------------
 # general solver branches
 # ---------------------------------------------------------------------------
 
 
 def _interior_candidate(ctx: _Ctx, mu1: float, mu2: float):
-    """Box maximum of the rho-free reduced objective, screened against the
+    """Box maximum of the rho-free weighted rate, screened against the
     destination constraints at the minimal covering rho.
 
-    J(pu1, pu2) is concave (weighted logs of affine power maps) over the
-    convex valid region, so nested golden-section scans are reliable.
-    Returns a candidate record or None when the destination cannot cover
-    the resulting fee or the sum MI bound fails at the covering rho.
+    J(p12, pu2) is maximised by a nested zoom: pu2 outer, p12 inner on
+    each slice's span.  Returns a candidate record or None when the
+    destination cannot cover the resulting fee or the sum MI bound fails
+    at the covering rho.
     """
-    cfg = ScanConfig(grid_points=49, refine_iters=40)
 
-    def j_on_slice(pu1, pu2):
-        al = _alloc_from_common(ctx, pu1, pu2)
-        if al is None:
-            return -math.inf
-        p12, p21 = al
-        return mu1 * _rate(ctx.b * p12) + mu2 * _rate(ctx.c * p21)
+    def over_p12(pu2, rows):
+        flat = pu2.ravel()
+        lo, hi = _p12_span(ctx, flat)
+        empty = hi < lo
 
-    def best_over_pu1(pu2):
-        span = _pu1_interval(ctx, pu2)
-        if span is None:
-            return None, -math.inf
-        lo, hi = span
-        if hi - lo < 1e-15:
-            return lo, j_on_slice(lo, pu2)
-        try:
-            return maximize_scan(lambda x: j_on_slice(x, pu2), lo, hi, cfg)
-        except EvaluationError:
-            return None, -math.inf
+        def j_at(p12, sub):
+            ev = _alloc(ctx, flat[sub, None], p12)
+            ok = (ev["pu1"] >= -_FEAS) & ~empty[sub, None]
+            ev["J"] = np.where(ok, mu1 * ev["r1"] + mu2 * ev["r2"], -np.inf)
+            return ev
 
-    try:
-        pu2_best, _ = maximize_scan(
-            lambda y: best_over_pu1(y)[1], 0.0, ctx.bud2, cfg
-        )
-    except EvaluationError:
+        rec = _zoom_rows(j_at, lo, np.maximum(hi, lo), _INTERIOR_LEVELS)
+        return {k: v.reshape(pu2.shape) for k, v in rec.items() if k != "x"}
+
+    rec = _zoom_rows(over_p12, np.zeros(1), np.full(1, ctx.bud2), _INTERIOR_LEVELS)
+    if not np.isfinite(rec["J"][0]):
         return None
-    pu1_best, j_best = best_over_pu1(pu2_best)
-    if pu1_best is None or not math.isfinite(j_best):
-        return None
-    al = _alloc_from_common(ctx, pu1_best, pu2_best)
-    if al is None:  # pragma: no cover - guarded by j_best finiteness
-        return None
-    p12, p21 = al
-    r1, r2 = _rate(ctx.b * p12), _rate(ctx.c * p21)
-    s = _s_total(ctx, p12, p21, pu1_best, pu2_best)
-    rho = _covering_rho(ctx, ctx.phid(r1 + r2), s)
+    cand = _scalar(_take(rec, 0))
+    cand["pu1"] = max(cand["pu1"], 0.0)
+    r_sum = cand["r1"] + cand["r2"]
+    s = float(_s_total(ctx, cand["p12"], cand["p21"], cand["pu1"], cand["pu2"]))
+    rho = _covering_rho(ctx, ctx.phid(r_sum), s)
     if rho is None:
         return None
-    if _mi_sum(ctx, rho, s) < r1 + r2 - 1e-12:
+    if _mi_sum(ctx, rho, s) < r_sum - 1e-12:
         return None  # sum bound binds: the balanced branch owns this regime
-    return {
-        "J": j_best,
-        "p12": p12,
-        "p21": p21,
-        "pu1": pu1_best,
-        "pu2": pu2_best,
-        "r1": r1,
-        "r2": r2,
-        "rho": rho,
-        "source": "interior",
-    }
+    cand.update(rho=rho, source="interior")
+    return cand
 
 
-def _point_eval(ctx: _Ctx, mu1, mu2, rho, pu1, pu2):
-    """Full constraint evaluation at one (rho, pu1, pu2), or None."""
-    al = _alloc_from_common(ctx, pu1, pu2)
-    if al is None:
-        return None
-    p12, p21 = al
-    r1, r2 = _rate(ctx.b * p12), _rate(ctx.c * p21)
-    s = _s_total(ctx, p12, p21, pu1, pu2)
-    cost_res = ctx.eh.eval(rho * (s + ctx.n)) - ctx.phid(r1 + r2)
-    mi_res = _mi_sum(ctx, rho, s) - (r1 + r2)
-    return {
-        "J": mu1 * r1 + mu2 * r2,
-        "p12": p12,
-        "p21": p21,
-        "pu1": pu1,
-        "pu2": pu2,
-        "r1": r1,
-        "r2": r2,
-        "rho": rho,
-        "cost_res": cost_res,
-        "mi_res": mi_res,
-    }
+def _tight_best(ctx: _Ctx, mu1: float, mu2: float, rho, pu2) -> dict:
+    """Best destination-cost-tight point inside the sum MI bound on each
+    (rho, pu2) slice (arrays broadcast); "J" is -inf where there is none.
 
-
-def _inner_cost_roots(ctx, mu1, mu2, rho, pu2, n_seed=9):
-    """pu1 values on the valid slice where the destination-cost equality
-    holds; seeded sign scan + bisection, all crossings kept."""
-    span = _pu1_interval(ctx, pu2)
-    if span is None:
-        return []
-    lo, hi = span
-    xs = np.linspace(lo, hi, n_seed)
-    prev = None
-    roots = []
-    for x in xs:
-        ev = _point_eval(ctx, mu1, mu2, rho, float(x), pu2)
-        if ev is None:
-            prev = None
-            continue
-        cur = (float(x), ev["cost_res"])
-        if prev is not None and (prev[1] == 0.0 or prev[1] * cur[1] < 0.0):
-            def f(t):
-                e = _point_eval(ctx, mu1, mu2, rho, t, pu2)
-                return math.nan if e is None else e["cost_res"]
-            try:
-                roots.append(bisect_root(f, prev[0], cur[0], _ROOT))
-            except EvaluationError:
-                pass
-        prev = cur
-    if prev is not None and prev[1] == 0.0:
-        roots.append(prev[0])
-    out = []
-    for r in roots:
-        ev = _point_eval(ctx, mu1, mu2, rho, r, pu2)
-        if ev is not None:
-            out.append(ev)
-    return out
-
-
-def _equality_value(ctx, mu1, mu2, rho, n_outer=17, refine=28):
-    """Best feasible candidate at fixed rho with the destination cost tight.
-
-    Maximizes over pu2 the value of the best cost-tight root on each slice
-    that stays inside the sum MI bound.  The scan+golden pass (instead of a
-    fixed sweep) matters: the profitable stretch of the root branch can be
-    narrower than any sane fixed grid -- it ends where the branch runs off
-    the p21 >= 0 corner of the power polytope -- and a fixed sweep reads
-    the per-rho value there as far lower than it really is, which then
-    misleads the outer rho search.
+    _SEEDS seeds across each slice's p12 span mark the sign changes of
+    the cost residual, bracket_roots roots all of them at once, and each
+    slice keeps its best feasible root.
     """
-    if ctx.bud2 <= 0.0:
-        ev = _slice_best(ctx, mu1, mu2, rho, 0.0)
-        if ev is not None:
-            ev["source"] = "balanced" if abs(ev["mi_res"]) < 1e-6 else "cost-tight"
-        return ev
-
-    cap = _q2_cap(ctx, rho)
-    if cap <= 0.0:
-        return None  # only zero rates coverable here; the zero corner owns it
-    y_lo = max(0.0, ctx.bud2 - 1.02 * cap)
-
-    best = {}
-
-    def g(y):
-        ev = _slice_best(ctx, mu1, mu2, rho, float(y))
-        if ev is None:
-            return -math.inf
-        if not best or ev["J"] > best["J"]:
-            best.clear()
-            best.update(ev)
-        return ev["J"]
-
-    try:
-        maximize_scan(g, y_lo, ctx.bud2, ScanConfig(n_outer, refine))
-    except EvaluationError:
-        return None
-    if not best:
-        return None
-    best["source"] = "balanced" if abs(best["mi_res"]) < 1e-6 else "cost-tight"
-    return best
-
-
-def _slice_best(ctx, mu1, mu2, rho, pu2):
-    """Best destination-cost-tight candidate on one (rho, pu2) slice that
-    also satisfies the sum MI bound, or None."""
-    best = None
-    for ev in _inner_cost_roots(ctx, mu1, mu2, rho, pu2):
-        if ev["mi_res"] >= -1e-12 and (best is None or ev["J"] > best["J"]):
-            best = ev
-    return best
+    rho, pu2 = np.broadcast_arrays(np.asarray(rho, float), np.asarray(pu2, float))
+    shape = rho.shape
+    rho, pu2 = rho.ravel(), pu2.ravel()
+    lo, hi = _p12_span(ctx, pu2)
+    seeds = lo[:, None] + np.maximum(hi - lo, 0.0)[:, None] * np.linspace(
+        0.0, 1.0, _SEEDS
+    )
+    ev = _tight_eval(ctx, rho[:, None], pu2[:, None], seeds)
+    ok = (ev["pu1"] >= -_FEAS) & (hi >= lo)[:, None]
+    f = ev["cost_res"]
+    pairs = ok[:, :-1] & ok[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0.0)
+    i, j = np.nonzero(pairs)
+    roots = np.full(pairs.shape, np.nan)
+    if i.size:
+        roots[i, j] = bracket_roots(
+            lambda x, k: _tight_eval(ctx, rho[i[k]], pu2[i[k]], x)["cost_res"],
+            seeds[i, j],
+            seeds[i, j + 1],
+            _ROOT,
+        )
+    found = ~np.isnan(roots)
+    ev = _tight_eval(
+        ctx, rho[:, None], pu2[:, None], np.where(found, roots, lo[:, None])
+    )
+    r_sum = ev["r1"] + ev["r2"]
+    ev["mi_res"] = _mi_sum(ctx, rho[:, None], ev.pop("s")) - r_sum
+    ok = found & (ev["pu1"] >= -_FEAS) & (ev["mi_res"] >= -_FEAS)
+    ev["J"] = np.where(ok, mu1 * ev["r1"] + mu2 * ev["r2"], -np.inf)
+    del ev["cost_res"]
+    best = _row_best(ev, roots)
+    del best["x"]
+    return {k: v.reshape(shape) for k, v in best.items()}
 
 
-def _q2_cap(ctx: _Ctx, rho: float):
-    """Largest q2 = bud2 - pu2 any feasible point at this rho can spend.
+def _pu2_floor(ctx: _Ctx, rho):
+    """The rho values where positive rates are coverable, and the floor
+    bud2 - 1.02*q2_cap of the global pu2 window at each.
 
-    Necessary cap, not an estimate: both rates are limited by the sum MI
-    bound at the maximal receive power and by the fee the maximal harvest
-    can cover, and q2 buys p21 plus user 2's decode fee, both increasing
-    in those rates.  Large decode-cost slopes push all positive-rate
-    points into a thin band of small q2; without this cap a uniform pu2
-    scan steps straight over that band.
+    q2_cap is the largest q2 = bud2 - pu2 any feasible point at the rho can
+    spend.  Necessary cap, not an estimate: both rates are limited by the
+    sum MI bound at the maximal receive power and by the fee the maximal
+    harvest can cover, and q2 buys p21 plus user 2's decode fee, both
+    increasing in those rates.  Large decode-cost slopes push all
+    positive-rate points into a thin band of small q2; without this cap a
+    uniform pu2 grid steps straight over that band.
     """
     rt = ctx.h1 * math.sqrt(ctx.bud1) + ctx.h2 * math.sqrt(ctx.bud2)
     s_max = rt * rt
-    r_cap = _mi_sum(ctx, rho, s_max)
-    r_cost = ctx.p.cost_dest.inverse(ctx.eh.eval(rho * (s_max + ctx.n)))
-    if r_cost is not UNBOUNDED:
-        r_cap = min(r_cap, r_cost)
-    if r_cap <= 0.0:
-        return 0.0
-    return math.expm1(2.0 * _LOG2 * r_cap) / ctx.c + ctx.phi2(r_cap)
+    r_cap = cost_rate_cap(
+        ctx.p.cost_dest, ctx.eh.eval(rho * (s_max + ctx.n)), _mi_sum(ctx, rho, s_max)
+    )
+    r_cap = np.maximum(r_cap, 0.0)
+    cap = np.expm1(2.0 * _LOG2 * r_cap) / ctx.c + ctx.phi2(r_cap)
+    live = cap > 0.0  # elsewhere only zero rates are coverable
+    return rho[live], np.maximum(0.0, ctx.bud2 - 1.02 * cap[live])
 
 
-def _polish_equality(ctx, mu1, mu2, cand, scan: ScanConfig, cycles: int = 2):
-    """Local 2-D refinement of the best cost-tight candidate.
+def _pu2_search(ctx: _Ctx, mu1, mu2, rho, lo, hi) -> dict:
+    """Best cost-tight point over pu2 in [lo_r, hi_r] at each rho_r."""
+    return _zoom_rows(
+        lambda x, rows: _tight_best(ctx, mu1, mu2, rho[rows, None], x),
+        lo,
+        hi,
+        _PU2_LEVELS,
+    )
 
-    The coarse stage leaves the candidate up to one rho grid cell from the
-    true peak, and the peak ridge runs diagonally in (rho, pu2), so
-    alternating 1-D passes stall on it.  A nested scan over the local
-    window (rho outer, pu2 inner, pu1 still rooted exactly on each slice),
-    shrinking the window each cycle, tracks the ridge instead.
+
+def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
+    """Best cost-tight candidate over (rho, pu2), or None.
+
+    Stage 1 grids rho at scan.grid_points values and searches pu2 at each
+    over [_pu2_floor(rho), bud2].  Stage 2 zooms rho around the
+    incumbent for _zoom_levels(scan.refine_iters) levels.  Each level also
+    searches a local pu2 window around the incumbent, halved every level:
+    the optimum can sit where the feasible pu2 band at a rho narrows to a
+    sliver that the global grid steps over.
     """
-    local = ScanConfig(grid_points=11, refine_iters=10)
-    rho0, pu20 = cand["rho"], cand["pu2"]
-    h_rho = 1.0 / max(scan.grid_points - 1, 1)
-    h_pu2 = ctx.bud2 / 16.0
-    best = dict(cand)
-    for _ in range(cycles):
-        found = {}
-
-        def j_rho(x):
-            lo_y = max(0.0, pu20 - h_pu2)
-            hi_y = min(ctx.bud2, pu20 + h_pu2)
-            inner = {}
-
-            def g(y):
-                ev = _slice_best(ctx, mu1, mu2, float(x), float(y))
-                if ev is None:
-                    return -math.inf
-                if not inner or ev["J"] > inner["J"]:
-                    inner.clear()
-                    inner.update(ev)
-                return ev["J"]
-
-            if not lo_y < hi_y:
-                g(lo_y)
-            else:
-                try:
-                    maximize_scan(g, lo_y, hi_y, local)
-                except EvaluationError:
-                    return -math.inf
-            if not inner:
-                return -math.inf
-            if not found or inner["J"] > found["J"]:
-                found.clear()
-                found.update(inner)
-            return inner["J"]
-
-        try:
-            maximize_scan(
-                j_rho, max(0.0, rho0 - h_rho), min(1.0, rho0 + h_rho), local
-            )
-        except EvaluationError:
-            break
-        if found and found["J"] > best["J"]:
-            best = dict(found)
-            rho0, pu20 = best["rho"], best["pu2"]
-        h_rho *= 0.25
-        h_pu2 *= 0.25
-    best["source"] = "balanced" if abs(best.get("mi_res", 0.0)) < 1e-6 else "cost-tight"
-    return best
-
-
-def _all_common_fallback(ctx: _Ctx, mu1, mu2):
-    """Everything into the common message: zero rates, always feasible."""
-    pu1, pu2 = ctx.bud1, ctx.bud2
-    al = _alloc_from_common(ctx, pu1, pu2)
-    p12, p21 = al if al is not None else (0.0, 0.0)
-    return {
-        "J": 0.0,
-        "p12": p12,
-        "p21": p21,
-        "pu1": pu1,
-        "pu2": pu2,
-        "r1": 0.0,
-        "r2": 0.0,
-        "rho": 0.0,
-        "source": "zero",
-    }
+    rho, lo = _pu2_floor(ctx, np.linspace(0.0, 1.0, scan.grid_points))
+    if not rho.size:
+        return None
+    best = _pu2_search(ctx, mu1, mu2, rho, lo, np.full(rho.size, ctx.bud2))
+    i = int(np.argmax(best["J"]))
+    if not np.isfinite(best["J"][i]):
+        return None
+    inc = _scalar(_take(best, i))
+    h_rho = 1.0 / (scan.grid_points - 1)
+    w = ctx.bud2 / 16.0
+    offsets = np.linspace(-1.0, 1.0, _ZOOM)
+    for _ in range(_zoom_levels(scan.refine_iters)):
+        rho = np.clip(inc["rho"] + h_rho * offsets, 0.0, 1.0)
+        g_rho, g_lo = _pu2_floor(ctx, rho)
+        best = _pu2_search(  # global windows, then the local ones
+            ctx, mu1, mu2, np.concatenate([g_rho, rho]),
+            np.concatenate([g_lo, np.full(rho.size, max(0.0, inc["pu2"] - w))]),
+            np.concatenate([
+                np.full(g_rho.size, ctx.bud2),
+                np.full(rho.size, min(ctx.bud2, inc["pu2"] + w)),
+            ]),
+        )
+        i = int(np.argmax(best["J"]))
+        if best["J"][i] > inc["J"]:
+            inc = _scalar(_take(best, i))
+        h_rho /= 4.0
+        w /= 2.0
+    inc["pu1"] = max(inc["pu1"], 0.0)
+    inc["source"] = "balanced" if abs(inc["mi_res"]) < 1e-6 else "cost-tight"
+    return inc
 
 
 def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution:
@@ -553,12 +459,12 @@ def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution
     pu1, pu2 = cand["pu1"], cand["pu2"]
     rho = cand["rho"]
     r1, r2 = cand["r1"], cand["r2"]
-    s = _s_total(ctx, p12, p21, pu1, pu2)
+    s = float(_s_total(ctx, p12, p21, pu1, pu2))
     residuals = {
         "budget1_w": ctx.bud1 - (p12 + pu1 + ctx.phi1(r2)),
         "budget2_w": ctx.bud2 - (p21 + pu2 + ctx.phi2(r1)),
         "dest_cost_w": ctx.eh.eval(max(rho, 0.0) * (s + ctx.n)) - ctx.phid(r1 + r2),
-        "sum_mi_bits": _mi_sum(ctx, rho, s) - (r1 + r2)
+        "sum_mi_bits": float(_mi_sum(ctx, rho, s)) - (r1 + r2)
         if 0.0 <= rho <= 1.0
         else math.nan,
     }
@@ -587,35 +493,13 @@ def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution
 
 
 def _solve_oriented(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
-    """Best candidate for one user labeling: interior branch, balanced-scan
-    branch, and the all-common backstop."""
-    cands = []
-    interior = _interior_candidate(ctx, mu1, mu2)
-    if interior is not None:
-        cands.append(interior)
-
-    best_eq = {}
-
-    def j_eq(rho):
-        ev = _equality_value(ctx, mu1, mu2, float(rho))
-        if ev is None:
-            return -math.inf
-        if not best_eq or ev["J"] > best_eq["J"]:
-            best_eq.clear()
-            best_eq.update(ev)
-        return ev["J"]
-
-    try:
-        maximize_scan(j_eq, 0.0, 1.0, scan)
-    except EvaluationError:
-        pass
-    if best_eq:
-        best_eq.setdefault("source", "balanced")
-        cands.append(_polish_equality(ctx, mu1, mu2, dict(best_eq), scan))
-
-    if not cands:
-        cands.append(_all_common_fallback(ctx, mu1, mu2))
-
+    """Best candidate for one user labeling: interior branch, balanced
+    branch, and the all-common backstop (zero rates, always feasible)."""
+    found = (_interior_candidate(ctx, mu1, mu2), _balanced_candidate(ctx, mu1, mu2, scan))
+    cands = [cc for cc in found if cc is not None] or [{
+        "J": 0.0, "p12": 0.0, "p21": 0.0, "pu1": ctx.bud1, "pu2": ctx.bud2,
+        "r1": 0.0, "r2": 0.0, "rho": 0.0, "source": "zero",
+    }]
     cand = max(cands, key=lambda cc: cc["J"])
     return cand, sorted(cc["source"] for cc in cands)
 
@@ -633,19 +517,28 @@ def coop_solve_general(
 ) -> CoopSolution:
     """Numeric weighted-sum-rate solve for any EH/cost combination.
 
-    Evaluates the interior branch (reduced-objective box maximum at the
-    minimal covering rho, destination bound slack) and the balanced branch
-    (destination cost and sum-MI equalities via nested bisection, scanned
-    over rho) and returns the better.  The all-common allocation (zero
-    rates) backstops both, so a solution always exists.
+    Operating points are parametrised by (rho, pu2, p12), and the budget
+    equalities give p21 and pu1 explicitly (see module docstring), so both
+    budgets are spent exactly for every fee family.  Two branches compete:
 
-    The nested bisection roots pu1 exactly on each slice but only grids
-    pu2, so the solve is repeated on the user-swapped network (where the
-    roles flip) and the better orientation wins; this restores symmetric
-    accuracy at extreme weight pairs.
+    * interior: the box maximum of the rho-free J(p12, pu2) by a nested
+      zoom, kept when the minimal covering rho also satisfies the sum MI
+      bound;
+    * balanced: p12 rooted on the destination-cost equality on batches of
+      (rho, pu2) slices at once, the best root inside the sum MI bound
+      kept, and the best slice searched by lockstep zoom grids.
 
-    The default rho scan is deliberately coarse (61 grid points + golden
-    refinement): each evaluation runs a two-level nested bisection.
+    ``scan.grid_points`` is the size of the stage-1 rho grid and
+    ``scan.refine_iters`` sets the number of stage-2 rho zoom levels (9
+    points each, 4x narrower per level), chosen so the last rho bracket is
+    no wider than refine_iters golden-section steps would leave.  The
+    all-common allocation (zero rates) backstops both branches, so a
+    solution always exists.
+
+    pu2 is gridded while p12 is rooted exactly, so the grid favours one
+    user; the solve is repeated on the user-swapped network and the better
+    orientation wins (notes["mirrored"]).  That keeps the solver exactly
+    symmetric under a user swap and restores accuracy at extreme weights.
     """
     if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
         raise ValueError("weights must be non-negative and not both zero")
@@ -727,8 +620,8 @@ def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSo
     arg1 = 1.0 + b * p12
     arg2 = 1.0 + c * p21
     degenerate = arg1 <= 1e-12 or arg2 <= 1e-12
-    r1 = _rate(b * p12) if arg1 > 1e-12 else 0.0
-    r2 = _rate(c * p21) if arg2 > 1e-12 else 0.0
+    r1 = 0.5 * math.log2(arg1) if arg1 > 1e-12 else 0.0
+    r2 = 0.5 * math.log2(arg2) if arg2 > 1e-12 else 0.0
 
     s = (
         params.h1 ** 2 * (p12 + pu1)
@@ -740,17 +633,20 @@ def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSo
     denom = eta * (s + params.n)
     rho = num / denom if denom > 0.0 else math.inf
 
-    ctx = _Ctx(params)
+    def phi(r):  # the common Exp fee, also at the negative rates of the ray
+        return beta * math.expm1(2.0 * _LOG2 * r)
+
+    in_unit = 0.0 <= rho <= 1.0
     residuals = {
-        "budget1_w": bud1 - (p12 + pu1 + ctx.phi1(r2)),
-        "budget2_w": bud2 - (p21 + pu2 + ctx.phi2(r1)),
+        "budget1_w": bud1 - (p12 + pu1 + phi(r2)),
+        "budget2_w": bud2 - (p21 + pu2 + phi(r1)),
         "dest_cost_w": (
-            ctx.eh.eval(rho * (s + params.n)) - ctx.phid(r1 + r2)
-            if 0.0 <= rho <= 1.0
+            params.eh.eval(rho * (s + params.n)) - phi(r1 + r2)
+            if in_unit
             else math.nan
         ),
         "sum_mi_bits": (
-            _mi_sum(ctx, rho, s) - (r1 + r2) if 0.0 <= rho <= 1.0 else math.nan
+            float(_mi_sum(_Ctx(params), rho, s)) - (r1 + r2) if in_unit else math.nan
         ),
     }
     valid = min(p12, p21, pu1, pu2) >= -1e-12 and 0.0 <= rho <= 1.0
@@ -810,8 +706,8 @@ def coop_constraints_eval(
     """
     ctx = _Ctx(params)
     p12, p21, pu1, pu2 = alloc.p12, alloc.p21, alloc.pu1, alloc.pu2
-    s = _s_total(ctx, p12, p21, max(pu1, 0.0), max(pu2, 0.0))
-    return {
+    s = float(_s_total(ctx, p12, p21, max(pu1, 0.0), max(pu2, 0.0)))
+    slacks = {
         "link1_bits": _rate(ctx.b * max(p12, 0.0)) - r1,
         "link2_bits": _rate(ctx.c * max(p21, 0.0)) - r2,
         "sum_mi_bits": _mi_sum(ctx, rho, s) - (r1 + r2),
@@ -819,6 +715,7 @@ def coop_constraints_eval(
         "budget1_w": ctx.bud1 - (p12 + pu1 + ctx.phi1(r2)),
         "budget2_w": ctx.bud2 - (p21 + pu2 + ctx.phi2(r1)),
     }
+    return {k: float(v) for k, v in slacks.items()}
 
 
 def classicalized(params: CoopParams) -> ClassicalParams:

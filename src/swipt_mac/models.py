@@ -94,6 +94,13 @@ def _expit_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _check_finite(*values):
+    """Reject NaN and infinite parameters at construction, before a solver
+    can turn them into masked or meaningless results."""
+    if not all(math.isfinite(v) for v in values):
+        raise ModelDomainError(f"parameters must be finite numbers, got {values}")
+
+
 # ---------------------------------------------------------------------------
 # Energy-harvesting conversion models
 # ---------------------------------------------------------------------------
@@ -128,6 +135,7 @@ class LogisticEh(EhModel):
     theta: float = field(init=False)
 
     def __post_init__(self):
+        _check_finite(self.q1, self.q2, self.p_max_dc)
         if not (self.q1 > 0 and self.q2 >= 0 and self.p_max_dc > 0):
             raise ModelDomainError(
                 "logistic EH model needs q1>0, q2>=0, p_max_dc>0"
@@ -241,6 +249,7 @@ class ExpCost(CostModel):
     beta: float
 
     def __post_init__(self):
+        _check_finite(self.beta)
         if not self.beta > 0:
             raise ModelDomainError("beta must be > 0")
 
@@ -265,6 +274,7 @@ class LogCost(CostModel):
     beta: float
 
     def __post_init__(self):
+        _check_finite(self.beta)
         if not self.beta > 0:
             raise ModelDomainError("beta must be > 0")
 
@@ -289,6 +299,7 @@ class LinCost(CostModel):
     beta: float
 
     def __post_init__(self):
+        _check_finite(self.beta)
         if not self.beta > 0:
             raise ModelDomainError("beta must be > 0")
 
@@ -316,6 +327,7 @@ class ConstCost(CostModel):
     phi0: float
 
     def __post_init__(self):
+        _check_finite(self.phi0)
         if self.phi0 < 0:
             raise ModelDomainError("phi0 must be >= 0")
 
@@ -412,6 +424,7 @@ class ClassicalParams:
     cost: CostModel
 
     def __post_init__(self):
+        _check_finite(self.h1_sq, self.h2_sq, self.p1, self.p2, self.n, self.n_p)
         if not (self.h1_sq > 0 and self.h2_sq > 0):
             raise ModelDomainError("channel power gains must be > 0")
         if min(self.p1, self.p2, self.n) < 0:
@@ -470,6 +483,10 @@ class CoopParams:
     cost_user2: CostModel
 
     def __post_init__(self):
+        _check_finite(
+            self.h1, self.h2, self.h12, self.h21, self.n1, self.n2, self.n,
+            self.n_p, self.p_u1_budget, self.p_u2_budget,
+        )
         if min(self.h1, self.h2) < 0:
             raise ModelDomainError("destination amplitude gains must be >= 0")
         if not (self.h12 > 0 and self.h21 > 0 and self.n1 > 0 and self.n2 > 0):

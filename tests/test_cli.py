@@ -18,6 +18,9 @@ def test_parse_number_db_suffixes():
     with pytest.raises(ConfigError) as exc:
         _parse_number("p1", "half")
     assert exc.value.key == "p1"
+    for raw in ("nan", "inf", "-inf", "nan dB", "inf dBW", "1e4dB"):
+        with pytest.raises(ConfigError):
+            _parse_number("p1", raw)
 
 
 def test_all_presets_ingest():
@@ -197,6 +200,14 @@ def test_verify_coop_passes(tmp_path):
 def test_exit_codes_for_config_errors():
     assert main(["region", "--preset", "nope"]) == 2
     assert main(["region"]) == 2  # neither preset nor config
+
+
+def test_exit_code_for_numbers_outside_the_model_domain(tmp_path):
+    # rejected while the config is built, before any solver runs
+    cfg_file = tmp_path / "bad.cfg"
+    for value in ("nan", "inf", "-1"):
+        cfg_file.write_text(f"p_u1_budget = {value}\n")
+        assert main(["verify", "--preset", "fig5a", "--config", str(cfg_file)]) == 2
 
 
 def test_exit_code_for_unknown_key(tmp_path):

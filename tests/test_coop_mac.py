@@ -6,6 +6,7 @@ import math
 import pytest
 
 import swipt_mac as sm
+import swipt_mac.cli as cli
 from swipt_mac.coop_mac import (
     NonUniqueSolutionError,
     classicalized,
@@ -90,12 +91,52 @@ def test_general_solver_meets_budget_equalities():
 
 
 def test_general_solver_swap_symmetry():
-    params = iv_coop(0.008, 1e-3, h12=0.008, h21=0.004)
-    sol = coop_solve_general(params, 0.3, 0.7, FAST)
-    mirrored = coop_solve_general(params.swapped(), 0.7, 0.3, FAST)
-    assert sol.weighted_rate == pytest.approx(mirrored.weighted_rate, abs=1e-12)
-    assert sol.r1 == pytest.approx(mirrored.r2, abs=1e-12)
-    assert sol.alloc.p12 == pytest.approx(mirrored.alloc.p21, abs=1e-12)
+    # Exp and LogCost user fees share one elimination path
+    for user_cost in (sm.ExpCost, sm.LogCost):
+        params = iv_coop(
+            0.008, 1e-3, h12=0.008, h21=0.004,
+            cost_user1=user_cost(1e-3), cost_user2=user_cost(1e-3),
+        )
+        sol = coop_solve_general(params, 0.3, 0.7, FAST)
+        mirrored = coop_solve_general(params.swapped(), 0.7, 0.3, FAST)
+        assert sol.weighted_rate == pytest.approx(mirrored.weighted_rate, abs=1e-12)
+        assert sol.r1 == pytest.approx(mirrored.r2, abs=1e-12)
+        assert sol.alloc.p12 == pytest.approx(mirrored.alloc.p21, abs=1e-12)
+
+
+@pytest.mark.parametrize("fam, floor", [("log", 0.5019255), ("lin", 0.5019202)])
+def test_non_exp_user_fees_spend_both_budgets(fam, floor):
+    # the budget equalities are eliminated explicitly for every fee family,
+    # so no budget is left unspent where a fresh power reaches 0
+    params = cli.ingest_config({**cli.PRESETS["fig5d"], "cost_user_model": fam}).coop
+    sol = coop_solve_general(params, 0.5, 0.5)
+    res = sol.constraint_residuals
+    assert abs(res["budget1_w"]) < 1e-9
+    assert abs(res["budget2_w"]) < 1e-9
+    assert res["dest_cost_w"] >= -1e-9 and res["sum_mi_bits"] >= -1e-9
+    assert sol.weighted_rate >= floor
+
+
+# optima of the default-scan solver on the fig5 presets, recorded before the
+# batched search replaced the nested scalar one; a search change may only
+# raise them
+FIG5_FLOORS = {
+    ("fig5a", 0.25): 1.576167314147,
+    ("fig5a", 0.5): 1.095487040602,
+    ("fig5b", 0.25): 1.388840691467,
+    ("fig5b", 0.5): 0.925899240729,
+    ("fig5c", 0.25): 1.054958399599,
+    ("fig5c", 0.5): 0.703305614578,
+    ("fig5d", 0.25): 0.752889513021,
+    ("fig5d", 0.5): 0.501926343732,
+}
+
+
+@pytest.mark.parametrize("preset, t", sorted(FIG5_FLOORS))
+def test_fig5_optima_do_not_fall(preset, t):
+    params = cli.ingest_config(cli.PRESETS[preset]).coop
+    sol = coop_solve_general(params, t, 1.0 - t)
+    assert sol.weighted_rate >= FIG5_FLOORS[preset, t] - 1e-9
 
 
 def test_general_solver_handles_single_sided_weights():

@@ -8,7 +8,7 @@ import pytest
 import swipt_mac as sm
 from swipt_mac.models import ModelDomainError, NoInverseError, SaturationError
 
-from conftest import iv_classical, iv_eh
+from conftest import iv_classical, iv_coop, iv_eh
 
 _LOG2 = math.log(2.0)
 
@@ -191,3 +191,20 @@ def test_coop_params_validation_and_link_slopes():
     s = p.swapped()
     assert (s.b, s.c) == (p.c, p.b)
     assert (s.p_u1_budget, s.p_u2_budget) == (p.p_u2_budget, p.p_u1_budget)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected_at_construction(bad):
+    builders = (
+        sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost, sm.LinearEh,
+        lambda v: sm.LogisticEh(q1=v, q2=0.0022, p_max_dc=0.024),
+        lambda v: sm.LogisticEh(q1=1500.0, q2=v, p_max_dc=0.024),
+        lambda v: iv_classical(sm.ExpCost(beta=1e-3), p1=v),
+        lambda v: iv_classical(sm.ExpCost(beta=1e-3), n=v),
+        lambda v: iv_coop(0.008, 1e-3, p_u1_budget=v),
+        lambda v: iv_coop(0.008, 1e-3, h12=v),
+        lambda v: iv_coop(0.008, 1e-3, n_p=v),
+    )
+    for build in builders:
+        with pytest.raises(ModelDomainError):
+            build(bad)

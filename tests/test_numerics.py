@@ -35,6 +35,66 @@ def test_bisect_root_rejects_nan_evaluations():
         sm.bisect_root(f, 0.0, 1.0)
 
 
+# one batch: steep, flat (triple root), smooth, and exact zeros at either end
+_BATCH = (
+    (lambda x: math.tanh(200.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: 1e-6 * (x - 0.7) ** 3, 0.0, 1.0),
+    (math.cos, 0.0, math.pi),
+    (lambda x: math.expm1(x) - 3.0, -1.0, 4.0),
+    (lambda x: 1e-9 * (x - 0.123), 0.0, 0.5),
+    (lambda x: x - 1.0, 0.0, 1.0),
+    (lambda x: x, 0.0, 2.0),
+)
+
+
+def _batched(fns, counter=None):
+    def f(x, idx):
+        if counter is not None:
+            counter.append(len(x))
+        return np.array([fns[i](xi) for xi, i in zip(x, idx)])
+
+    return f
+
+
+def test_bracket_roots_agree_with_bisection_within_tolerance():
+    fns = [fn for fn, _, _ in _BATCH]
+    lo = np.array([a for _, a, _ in _BATCH])
+    hi = np.array([b for _, _, b in _BATCH])
+    # the documented worst case: one halving per four passes
+    tol = 1e-11
+    cap = 4 * math.ceil(math.log2(np.max(hi - lo) / tol))
+    cfg = RootConfig(abs_tol=tol, max_iter=cap)
+    calls = []
+    roots = sm.bracket_roots(_batched(fns, calls), lo, hi, cfg)
+    for (fn, a, b), r in zip(_BATCH, roots):
+        assert abs(r - sm.bisect_root(fn, a, b, cfg)) <= tol
+    assert roots[5] == 1.0 and roots[6] == 0.0  # endpoint zeros returned exactly
+    assert len(calls) - 2 < cap  # two endpoint passes; every element converged
+
+
+def test_bracket_roots_stop_at_the_iteration_cap():
+    calls = []
+    cfg = RootConfig(abs_tol=1e-15, max_iter=3)
+    fns = [fn for fn, _, _ in _BATCH[:4]]
+    lo = np.array([a for _, a, _ in _BATCH[:4]])
+    hi = np.array([b for _, _, b in _BATCH[:4]])
+    roots = sm.bracket_roots(_batched(fns, calls), lo, hi, cfg)
+    assert len(calls) == 2 + cfg.max_iter
+    assert np.all((lo <= roots) & (roots <= hi))
+
+
+def test_bracket_roots_fail_like_bisect_root():
+    square = _batched([lambda x: x * x + 1.0, lambda x: x - 0.5])
+    with pytest.raises(BracketError):
+        sm.bracket_roots(square, [-1.0, 0.0], [1.0, 1.0])
+    endpoint_nan = _batched([lambda x: x - 0.5, lambda x: math.nan if x > 0.9 else x])
+    with pytest.raises(EvaluationError):
+        sm.bracket_roots(endpoint_nan, [0.0, -1.0], [1.0, 1.0])
+    hole = _batched([lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5])
+    with pytest.raises(EvaluationError):
+        sm.bracket_roots(hole, [0.0], [1.0])
+
+
 def test_root_config_validation():
     with pytest.raises(ValueError):
         RootConfig(abs_tol=0.0)
