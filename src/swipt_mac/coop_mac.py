@@ -32,7 +32,10 @@ Weighted-rate solves:
   minimal covering rho (the "interior" branch, optimal when the sum bound
   is slack), and a search over (rho, pu2) slices with p12 rooted on the
   destination-cost equality (the "balanced"/"cost-tight" branch).  Every
-  search step evaluates its candidates as one numpy batch.
+  search step evaluates its candidates as one numpy batch: all slices are
+  rooted at once by ``bracket_roots``, and zoom grids run in lockstep
+  across rows.  ``ScanConfig`` sets the rho grid and the rho zoom depth;
+  both user orientations are solved (see ``coop_solve_general``).
 """
 
 from __future__ import annotations
@@ -155,12 +158,10 @@ class _Ctx:
         self.phid = params.cost_dest.eval
         self.eh = params.eh
         # Exp user fees make pu1 affine in p12: pu1 = bud1 - beta1*c*q2 - k*p12
+        u1, u2 = params.cost_user1, params.cost_user2
         self.exp_cut = None
-        if isinstance(params.cost_user1, ExpCost) and isinstance(
-            params.cost_user2, ExpCost
-        ):
-            beta1, beta2 = params.cost_user1.beta, params.cost_user2.beta
-            self.exp_cut = (beta1, 1.0 - beta1 * beta2 * self.b * self.c)
+        if isinstance(u1, ExpCost) and isinstance(u2, ExpCost):
+            self.exp_cut = (u1.beta, 1.0 - u1.beta * u2.beta * self.b * self.c)
 
 
 def _rate(x):
@@ -329,10 +330,9 @@ def _interior_candidate(ctx: _Ctx, mu1: float, mu2: float):
     r_sum = cand["r1"] + cand["r2"]
     s = float(_s_total(ctx, cand["p12"], cand["p21"], cand["pu1"], cand["pu2"]))
     rho = _covering_rho(ctx, ctx.phid(r_sum), s)
-    if rho is None:
+    # uncoverable fee, or the sum bound binds: the balanced branch owns that
+    if rho is None or _mi_sum(ctx, rho, s) < r_sum - 1e-12:
         return None
-    if _mi_sum(ctx, rho, s) < r_sum - 1e-12:
-        return None  # sum bound binds: the balanced branch owns this regime
     cand.update(rho=rho, source="interior")
     return cand
 
@@ -349,22 +349,26 @@ def _tight_best(ctx: _Ctx, mu1: float, mu2: float, rho, pu2) -> dict:
     shape = rho.shape
     rho, pu2 = rho.ravel(), pu2.ravel()
     lo, hi = _p12_span(ctx, pu2)
-    seeds = lo[:, None] + np.maximum(hi - lo, 0.0)[:, None] * np.linspace(
-        0.0, 1.0, _SEEDS
-    )
-    ev = _tight_eval(ctx, rho[:, None], pu2[:, None], seeds)
+    span = np.maximum(hi - lo, 0.0)
+    t = np.linspace(0.0, 1.0, _SEEDS)
+    ev = _tight_eval(ctx, rho[:, None], pu2[:, None], lo[:, None] + span[:, None] * t)
     ok = (ev["pu1"] >= -_FEAS) & (hi >= lo)[:, None]
     f = ev["cost_res"]
     pairs = ok[:, :-1] & ok[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0.0)
     i, j = np.nonzero(pairs)
     roots = np.full(pairs.shape, np.nan)
     if i.size:
-        roots[i, j] = bracket_roots(
-            lambda x, k: _tight_eval(ctx, rho[i[k]], pu2[i[k]], x)["cost_res"],
-            seeds[i, j],
-            seeds[i, j + 1],
+        # rooted in t, not p12: pu1 can move |k| >> 1 times faster than p12,
+        # while t tracks pu1 (affinely, for Exp user fees)
+        t_root = bracket_roots(
+            lambda x, k: _tight_eval(
+                ctx, rho[i[k]], pu2[i[k]], lo[i[k]] + span[i[k]] * x
+            )["cost_res"],
+            t[j],
+            t[j + 1],
             _ROOT,
         )
+        roots[i, j] = lo[i] + span[i] * t_root
     found = ~np.isnan(roots)
     ev = _tight_eval(
         ctx, rho[:, None], pu2[:, None], np.where(found, roots, lo[:, None])
@@ -420,7 +424,10 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
     incumbent for _zoom_levels(scan.refine_iters) levels.  Each level also
     searches a local pu2 window around the incumbent, halved every level:
     the optimum can sit where the feasible pu2 band at a rho narrows to a
-    sliver that the global grid steps over.
+    sliver that the global grid steps over.  A new best on the edge of the
+    rho bracket does not count as a level: the bracket moves there with
+    its step doubled (at most as many such moves as levels), since the
+    value can rise in rho up to a cliff further away than the zoom reaches.
     """
     rho, lo = _pu2_floor(ctx, np.linspace(0.0, 1.0, scan.grid_points))
     if not rho.size:
@@ -433,7 +440,8 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
     h_rho = 1.0 / (scan.grid_points - 1)
     w = ctx.bud2 / 16.0
     offsets = np.linspace(-1.0, 1.0, _ZOOM)
-    for _ in range(_zoom_levels(scan.refine_iters)):
+    levels = walks = _zoom_levels(scan.refine_iters)
+    while levels > 0:
         rho = np.clip(inc["rho"] + h_rho * offsets, 0.0, 1.0)
         g_rho, g_lo = _pu2_floor(ctx, rho)
         best = _pu2_search(  # global windows, then the local ones
@@ -447,6 +455,11 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
         i = int(np.argmax(best["J"]))
         if best["J"][i] > inc["J"]:
             inc = _scalar(_take(best, i))
+            if walks and inc["rho"] in (rho[0], rho[-1]) and 0.0 < inc["rho"] < 1.0:
+                walks -= 1  # see docstring: move on at twice the step
+                h_rho *= 2.0
+                continue
+        levels -= 1
         h_rho /= 4.0
         w /= 2.0
     inc["pu1"] = max(inc["pu1"], 0.0)
@@ -468,13 +481,8 @@ def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution
         if 0.0 <= rho <= 1.0
         else math.nan,
     }
-    valid = (
-        min(p12, p21, pu1, pu2) >= -1e-9 and -1e-12 <= rho <= 1.0 + 1e-12
-    )
-    sum_ok = (
-        not math.isnan(residuals["sum_mi_bits"])
-        and residuals["sum_mi_bits"] >= -1e-9
-    )
+    valid = min(p12, p21, pu1, pu2) >= -1e-9 and -1e-12 <= rho <= 1.0 + 1e-12
+    sum_ok = residuals["sum_mi_bits"] >= -1e-9  # False for NaN
     notes = dict(extra_notes or {})
     return CoopSolution(
         alloc=PowerAllocation(p12=p12, p21=p21, pu1=pu1, pu2=pu2),
@@ -531,7 +539,8 @@ def coop_solve_general(
     ``scan.grid_points`` is the size of the stage-1 rho grid and
     ``scan.refine_iters`` sets the number of stage-2 rho zoom levels (9
     points each, 4x narrower per level), chosen so the last rho bracket is
-    no wider than refine_iters golden-section steps would leave.  The
+    no wider than refine_iters golden-section steps would leave; an
+    incumbent on the bracket edge moves the bracket instead.  The
     all-common allocation (zero rates) backstops both branches, so a
     solution always exists.
 

@@ -110,13 +110,11 @@ def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     """Roots of a batch of brackets at once, by Illinois regula falsi.
 
     ``f(x, idx)`` evaluates the batch elements ``idx`` (an index array) at
-    the points ``x`` and returns an array shaped like ``x``.  Every bracket
-    must satisfy f(lo)*f(hi) <= 0.  An element is done when f is exactly 0
-    or its bracket is narrower than cfg.abs_tol (the midpoint is returned),
-    as in bisect_root.  Smooth brackets converge superlinearly (6-9 passes
-    to 1e-11 on the cooperative solver's brackets, against about 35 for
-    bisection); a bracket that has not halved over three passes takes a
-    bisection step, so every four passes at least halve it.  After
+    the points ``x``.  As in bisect_root, each bracket needs f(lo)*f(hi)
+    <= 0, and an element is done at an exact zero or once its bracket is
+    narrower than cfg.abs_tol (the midpoint is returned).  Smooth brackets
+    converge superlinearly; a bracket that has not halved over three passes
+    takes a bisection step, so every four passes at least halve it.  After
     cfg.max_iter passes the midpoints are returned.  Raises BracketError
     when an endpoint pair does not straddle zero and EvaluationError on NaN.
     """

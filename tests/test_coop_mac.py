@@ -152,6 +152,11 @@ def test_prohibitive_fee_leaves_only_negligible_rates():
     sol = coop_solve_general(iv_coop(0.008, 1e3), 0.5, 0.5, FAST)
     assert sol.cooperation_valid
     assert sol.r1 < 1e-3 and sol.r2 < 1e-3
+    # beta^2*b*c ~ 4e9 here: pu1 moves ~4e9 times faster than p12, and the
+    # returned point must still be feasible
+    res = sol.constraint_residuals
+    assert res["dest_cost_w"] >= -1e-9 and res["sum_mi_bits"] >= -1e-9
+    assert abs(res["budget1_w"]) < 1e-9 and abs(res["budget2_w"]) < 1e-9
 
 
 def test_general_solver_beats_the_grid_oracle_negative_k_regime():
@@ -162,6 +167,18 @@ def test_general_solver_beats_the_grid_oracle_negative_k_regime():
     sol = coop_solve_general(params, 0.5, 0.5, FAST)
     ref = sm.oracle_coop_weighted(params, 0.5, 0.5, grid=101)
     assert sol.weighted_rate >= ref.weighted_rate - 1e-9
+
+
+def test_general_solver_beats_the_grid_oracle_up_to_a_cliff_in_rho():
+    # a constant destination fee: the value rises in rho up to a cliff where
+    # the feasible pu2 band closes, beyond the reach of a shrinking rho zoom
+    params = iv_coop(0.008, 1e-3, cost_dest=sm.ConstCost(0.005))
+    for mu1, mu2 in ((1.0, 0.0), (0.2, 0.8)):
+        sol = coop_solve_general(params, mu1, mu2, FAST)
+        ref = sm.oracle_coop_weighted(params, mu1, mu2, grid=201)
+        assert sol.weighted_rate >= ref.weighted_rate - 1e-9
+        res = sol.constraint_residuals
+        assert res["dest_cost_w"] >= -1e-9 and res["sum_mi_bits"] >= -1e-9
 
 
 def test_general_solver_with_saturating_harvester():
