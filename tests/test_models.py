@@ -195,7 +195,7 @@ def test_coop_params_validation_and_link_slopes():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_are_rejected_at_construction(bad):
-    builders = (
+    constructors = (
         sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost, sm.LinearEh,
         lambda v: sm.LogisticEh(q1=v, q2=0.0022, p_max_dc=0.024),
         lambda v: sm.LogisticEh(q1=1500.0, q2=v, p_max_dc=0.024),
@@ -205,6 +205,6 @@ def test_non_finite_parameters_are_rejected_at_construction(bad):
         lambda v: iv_coop(0.008, 1e-3, h12=v),
         lambda v: iv_coop(0.008, 1e-3, n_p=v),
     )
-    for build in builders:
+    for build in constructors:
         with pytest.raises(ModelDomainError):
             build(bad)
