@@ -5,8 +5,8 @@ harvested energy.
 Modules
 -------
 models            EH / decoding-cost model families and parameter records
-numerics          scalar and batched root finding, scan+golden maximization,
-                  2x2 linear solve
+numerics          scalar and batched root finding, critical points of an
+                  array objective, 2x2 linear solve
 region            boundary curves, time-sharing hulls, dominance metrics
 classical_simul   simultaneous decoding: bounds, breakpoints, MDRB, sum rate
 classical_sic     successive decoding: both orders, MDRB, sum rate
@@ -48,7 +48,6 @@ from .numerics import (
     bisect_root,
     bracket_roots,
     critical_points,
-    maximize_scan,
     solve_2x2,
 )
 from .region import BoundaryCurve, assemble_frontier, dominates, hausdorff, upper_hull
@@ -81,7 +80,6 @@ from .classical_sic import (
     sic_sumrate_numeric,
 )
 from .coop_mac import (
-    CoopInfeasibleError,
     CoopSolution,
     NonUniqueSolutionError,
     classicalized,
@@ -127,7 +125,6 @@ __all__ = [
     "SingularMatrixError",
     "bisect_root",
     "bracket_roots",
-    "maximize_scan",
     "critical_points",
     "solve_2x2",
     # region
@@ -164,7 +161,6 @@ __all__ = [
     "sic_sumrate_closed_form",
     # cooperation
     "NonUniqueSolutionError",
-    "CoopInfeasibleError",
     "CoopSolution",
     "coop_constraints_eval",
     "coop_solve_closed_form",

@@ -99,29 +99,16 @@ class SicClosedForm:
     noise_warning: bool
 
 
-def _first_second_powers(params: ClassicalParams, order: DecodingOrder):
-    if order == DecodingOrder.USER1_FIRST:
-        return params.h1_sq * params.p1, params.h2_sq * params.p2
-    return params.h2_sq * params.p2, params.h1_sq * params.p1
-
-
 def sic_rate_bounds(params: ClassicalParams, rho, order: DecodingOrder):
     """(bound on R1, bound on R2) at rho for the given decoding order.
 
     The first-decoded message sees the other user as interference; the
-    second is decoded on the cleaned signal.  Vectorizes over rho.
+    second is decoded on the cleaned signal.  Vectorizes over rho; a scalar
+    rho gives floats.
     """
-    s_first, s_second = _first_second_powers(params, order)
+    s1, s2 = params.h1_sq * params.p1, params.h2_sq * params.p2
+    s_first, s_second = (s1, s2) if order == DecodingOrder.USER1_FIRST else (s2, s1)
     n, n_p = params.n, params.n_p
-    if isinstance(rho, (float, int)):  # scalar fast path: sweep objectives
-        y = 1.0 - rho
-        b_first = 0.5 * math.log2(1.0 + y * s_first / (y * (s_second + n) + n_p))
-        b_second = 0.5 * math.log2(1.0 + y * s_second / (y * n + n_p))
-        return (
-            (b_first, b_second)
-            if order == DecodingOrder.USER1_FIRST
-            else (b_second, b_first)
-        )
     y = 1.0 - np.asarray(rho, dtype=float)
     b_first = 0.5 * np.log2(1.0 + y * s_first / (y * (s_second + n) + n_p))
     b_second = 0.5 * np.log2(1.0 + y * s_second / (y * n + n_p))
@@ -324,72 +311,56 @@ def sic_max_sum_at_rho(params: ClassicalParams, rho: float):
     return best, tag
 
 
-def _relabeled(params: ClassicalParams):
-    if params.h2_sq * params.p2 > params.h1_sq * params.p1:
-        return params.swapped(), True
-    return params, False
+def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None) -> SolveReport:
+    """Optimal SIC sum rate by candidate enumeration over both decoding orders.
 
-
-def sic_sumrate_numeric(
-    params: ClassicalParams,
-    scan: ScanConfig | None = None,
-    mismatched_cost_term: bool = False,
-) -> SolveReport:
-    """Optimal SIC sum rate by candidate enumeration.
-
-    The stronger user (larger |h|^2 P) is internally labeled first (recorded
-    in notes).  The two sweep objectives (pin the second-decoded user's
-    bound / pin the first-decoded user's bound, invert the leftover cost)
-    are maximized over their breakpoint intervals via endpoint + interior
-    critical-point candidates.
-
-    mismatched_cost_term evaluates a variant of the second sweep whose inner
-    cost charge uses the *other* sweep's rate bound; it is kept only for
-    comparison and is not the validated objective.
+    Per order, the two sweep objectives (pin one user's rate bound, invert
+    the leftover cost for the other) are maximized over their breakpoint
+    intervals via endpoint + interior critical-point candidates.  The best
+    candidate wins, USER1_FIRST on ties; notes["order"] records the winning
+    order.
     """
     scan = scan or ScanConfig()
-    work, relabeled = _relabeled(params)
-    order = DecodingOrder.USER1_FIRST
-    eh, cost, a = work.eh, work.cost, work.a
+    eh, cost, a = params.eh, params.cost, params.a
 
     if isinstance(cost, ConstCost):
-        return _sic_sumrate_const(work, relabeled, order)
+        return _sic_sumrate_const(params)
 
-    bp = sic_breakpoints(work, order)
+    def sweep(order, pin_user1):
+        def f(rho):
+            b1, b2 = sic_rate_bounds(params, rho, order)
+            pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
+            left = eh.eval(rho * a) - cost.eval(pinned)
+            return np.where(left < 0.0, -np.inf, pinned + cost_rate_cap(cost, left, cap))
 
-    def sweep(rho, pin_first: bool):
-        b1, b2 = sic_rate_bounds(work, rho, order)
-        pinned, cap = (b1, b2) if pin_first else (b2, b1)
-        inner = b2 if (pin_first and mismatched_cost_term) else pinned
-        left = eh.eval(rho * a) - cost.eval(inner)
-        if left < 0.0:
-            return -math.inf
-        return pinned + min(cost.inverse(left), cap)
-
-    f1 = lambda rho: sweep(rho, pin_first=False)
-    f2 = lambda rho: sweep(rho, pin_first=True)
+        return f
 
     candidates = []
-    for f, lo, hi, label in (
-        (f1, bp.rho_1, bp.rho_c, "second-pinned"),
-        (f2, bp.rho_2, bp.rho_c, "first-pinned"),
-    ):
-        if hi < lo:
-            continue
-        cand_rhos = [lo, hi]
-        if hi > lo:
-            cand_rhos += critical_points(f, lo, hi, scan)
-        for rho in cand_rhos:
-            candidates.append((float(rho), float(f(rho)), label))
+    for order in DecodingOrder:
+        bp = sic_breakpoints(params, order)
+        for pin_user1, lo, label in (
+            (False, bp.rho_1, "user2-pinned"),
+            (True, bp.rho_2, "user1-pinned"),
+        ):
+            hi = bp.rho_c
+            if hi < lo:
+                continue
+            f = sweep(order, pin_user1)
+            rhos = [lo, hi]
+            if hi > lo:
+                rhos += critical_points(f, lo, hi, scan)
+            for rho, val in zip(rhos, f(np.array(rhos))):
+                candidates.append((float(rho), float(val), f"{order.value}:{label}"))
 
     rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
-    b1, b2 = sic_rate_bounds(work, rho_opt, order)
-    if label == "second-pinned":
-        r2 = b2
-        r1 = sum_rate - r2
-    else:
+    tag, pinned = label.split(":")
+    b1, b2 = sic_rate_bounds(params, rho_opt, DecodingOrder(tag))
+    if pinned == "user1-pinned":
         r1 = b1
         r2 = sum_rate - r1
+    else:
+        r2 = b2
+        r1 = sum_rate - r2
     resid = eh.eval(rho_opt * a) - (cost.eval(r1) + cost.eval(r2))
     return SolveReport(
         rho_opt=rho_opt,
@@ -398,30 +369,27 @@ def sic_sumrate_numeric(
         bound=None,
         candidates=candidates,
         notes={
-            "relabeled": relabeled,
+            "order": tag,
             "grid_points": scan.grid_points,
             "branch": label,
-            "mismatched_cost_term": mismatched_cost_term,
-            "r1": (r2 if relabeled else r1),
-            "r2": (r1 if relabeled else r2),
+            "r1": r1,
+            "r2": r2,
         },
     )
 
 
-def _sic_sumrate_const(work, relabeled, order):
+def _sic_sumrate_const(params: ClassicalParams) -> SolveReport:
     """Indicator-cost special case: fee thresholds instead of sweeps."""
-    eh, a = work.eh, work.a
-    phi0 = work.cost.phi0
-    psi_a = eh.eval(a)
-    if psi_a < phi0:
+    if params.eh.eval(params.a) < params.cost.phi0:
         raise InfeasibleRegionError("single decoding fee unaffordable")
-    bp = sic_breakpoints(work, order)
     candidates = []
-    b1s, b2s = sic_rate_bounds(work, bp.rho_1, order)
-    candidates.append((bp.rho_1, max(b1s, b2s), "single-user"))
-    if not math.isnan(bp.rho_c):
-        b1b, b2b = sic_rate_bounds(work, bp.rho_c, order)
-        candidates.append((bp.rho_c, b1b + b2b, "both"))
+    for order in DecodingOrder:
+        bp = sic_breakpoints(params, order)
+        b1s, b2s = sic_rate_bounds(params, bp.rho_1, order)
+        candidates.append((bp.rho_1, max(b1s, b2s), f"{order.value}:single-user"))
+        if not math.isnan(bp.rho_c):
+            b1b, b2b = sic_rate_bounds(params, bp.rho_c, order)
+            candidates.append((bp.rho_c, b1b + b2b, f"{order.value}:both"))
     rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
     return SolveReport(
         rho_opt=rho_opt,
@@ -429,7 +397,7 @@ def _sic_sumrate_const(work, relabeled, order):
         residuals={"cost_balance_w": 0.0},
         bound=None,
         candidates=candidates,
-        notes={"relabeled": relabeled, "branch": label, "cost_family": "const"},
+        notes={"order": label.split(":")[0], "branch": label, "cost_family": "const"},
     )
 
 
@@ -445,7 +413,9 @@ def sic_sumrate_closed_form(params: ClassicalParams) -> SicClosedForm:
         raise TypeError("closed form needs the linear EH model")
     if not isinstance(params.cost, ExpCost):
         raise TypeError("closed form needs the convex-exponential cost")
-    work, relabeled = _relabeled(params)
+    # the closed form decodes the stronger user (larger |h|^2 P) first
+    relabeled = params.h2_sq * params.p2 > params.h1_sq * params.p1
+    work = params.swapped() if relabeled else params
     noise_warning = work.n > work.n_p / 100.0
 
     eta = work.eh.eta

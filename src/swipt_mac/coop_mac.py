@@ -67,7 +67,6 @@ from .region import BoundaryCurve, upper_hull
 
 __all__ = [
     "NonUniqueSolutionError",
-    "CoopInfeasibleError",
     "CoopSolution",
     "coop_constraints_eval",
     "coop_solve_closed_form",
@@ -96,10 +95,6 @@ _INTERIOR_LEVELS = _zoom_levels(40)
 class NonUniqueSolutionError(ValueError):
     """The linear power system is singular (beta^2*b*c = 1 or an extreme
     weight pair); the optimal powers are not unique."""
-
-
-class CoopInfeasibleError(RuntimeError):
-    """No feasible cooperative operating point at any PS factor."""
 
 
 @dataclass
@@ -792,11 +787,8 @@ def coop_mdrb(
             except (TypeError, NonUniqueSolutionError):
                 sol = None
         if sol is None:
-            try:
-                sol = coop_solve_general(params, mu1, mu2, scan)
-            except CoopInfeasibleError:
-                sol = None
-        if sol is None or not sol.cooperation_valid:
+            sol = coop_solve_general(params, mu1, mu2, scan)
+        if not sol.cooperation_valid:
             pt = _classical_best(params, mu1, mu2, cache)
             pts.append(RatePoint(pt.r1, pt.r2, pt.rho))
             meta.append(

@@ -124,9 +124,11 @@ class LogisticEh(EhModel):
     Psi(p) = p_max_dc / (1 + exp(-q1*(p - q2))) and theta = 1/(1+exp(q1*q2)).
 
     q1 [1/W] sets the slope, q2 [W] the inflection input, p_max_dc [W] the
-    saturation output.  theta is the zero-input offset; note that
-    Psi(0)/p_max_dc and theta are the *same* expression expit(-q1*q2), so
-    psi(0) == 0 holds bitwise, not just approximately.
+    saturation output.  theta is the zero-input offset.  On the scalar
+    path Psi(0)/p_max_dc and theta are the *same* expression
+    _expit_scalar(-q1*q2), so eval(0.0) == 0 holds bitwise.  The array path
+    computes the logistic with scipy's expit, which can differ from theta
+    in the last bits: eval(np.zeros(3)) may return about 1e-19 W, not 0.
     """
 
     q1: float
@@ -554,7 +556,7 @@ class SolveReport:
 
     candidates holds (location, value, label) triples actually examined;
     residuals maps named equality/feasibility conditions to signed values;
-    notes carries solver provenance flags (relabeling, grid size, ...).
+    notes carries solver provenance (winning branch, grid size, ...).
     """
 
     rho_opt: float

@@ -1,11 +1,11 @@
 """Numerical machinery: bracketed bisection, a batched bracketed root
-finder, scan+golden-section maximization, critical-point location and a
-guarded 2x2 linear solve.
+finder, critical-point location on an array objective and a guarded 2x2
+linear solve.
 
 Everything here is generic; the physics lives in the calling modules.  The
-routines favour robustness over speed: the optimization landscape of the
-PS-factor problems is cheap to evaluate and piecewise smooth, so a dense
-scan with local refinement is both simple and reliable.
+optimization landscape of the PS-factor problems is cheap to evaluate and
+piecewise smooth, so a dense derivative scan evaluated as one array batch,
+with scalar bisection on each bracket it finds, is both simple and reliable.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "SingularMatrixError",
     "bisect_root",
     "bracket_roots",
-    "maximize_scan",
     "critical_points",
     "solve_2x2",
 ]
@@ -65,10 +64,6 @@ class ScanConfig:
 
 _DEFAULT_ROOT = RootConfig()
 _DEFAULT_SCAN = ScanConfig()
-
-# golden ratio section for the refinement stage
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     """Root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
@@ -167,71 +162,14 @@ def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     return root
 
 
-def _golden_max(f, lo, hi, iters):
-    """Golden-section refinement for a maximum on [lo, hi].
-
-    Returns the best (x, f(x)) pair seen, which is what matters when f is
-    not exactly unimodal on the bracket.
-    """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        for x, v in ((c, fc), (d, fd)):
-            if not math.isnan(v) and v > best_v:
-                best_x, best_v = x, v
-        if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
-            break
-    return best_x, best_v
-
-
-def maximize_scan(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
-    """Global 1-D maximization: dense grid scan + golden-section refinement.
-
-    Non-finite samples (NaN, -inf) are treated as infeasible and skipped;
-    if every sample is non-finite the landscape is empty and
-    EvaluationError is raised.  The result is never worse than the best
-    coarse-grid sample.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    n = cfg.grid_points
-    step = (hi - lo) / (n - 1)
-    best_i, best_v = -1, -math.inf
-    values = [0.0] * n
-    for i in range(n):
-        x = lo + i * step
-        v = f(x)
-        values[i] = v
-        if not math.isnan(v) and v > best_v:
-            best_i, best_v = i, v
-    if best_i < 0 or best_v == -math.inf:
-        raise EvaluationError("no finite sample on the scan grid")
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n - 1) * step
-    x_ref, v_ref = _golden_max(f, a, b, cfg.refine_iters)
-    if v_ref > best_v:
-        return x_ref, v_ref
-    return lo + best_i * step, best_v
-
-
 def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
     """Interior sign changes of the central-difference derivative of f.
 
-    The derivative is sampled on a uniform grid with step (hi-lo)/grid_points
-    and each sign change is refined by bisection on the derivative.
-    Endpoints are excluded; an empty list is a legitimate answer for
-    monotone f.
+    f must accept arrays: the derivative is sampled in one batch on a
+    uniform grid with step (hi-lo)/grid_points, and each sign change is
+    refined by scalar bisection on the derivative.  Endpoints are excluded;
+    an empty list is a legitimate answer for monotone f.  A NaN sample (an
+    infeasible neighbour on either side) brackets nothing.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -241,27 +179,22 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
     # interior nodes where the central difference stays inside [lo, hi]
-    xs = [lo + h * i for i in range(1, cfg.grid_points)]
+    xs = lo + h * np.arange(1, cfg.grid_points)
     roots = []
-    prev_x = None
-    prev_d = None
-    for x in xs:
-        d = df(x)
-        if math.isnan(d):
-            prev_x, prev_d = None, None
-            continue
-        if prev_d is not None and (d == 0.0 or prev_d * d < 0.0):
-            if d == 0.0 and prev_d == 0.0:
-                prev_x, prev_d = x, d
-                continue
+    with np.errstate(invalid="ignore"):  # -inf - -inf and inf * 0 are NaN
+        d = df(xs)
+        prev, cur = d[:-1], d[1:]
+        # a run of exact zeros counts once, where it starts
+        change = ~np.isnan(prev) & (
+            (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
+        )
+        for i in np.flatnonzero(change):
             try:
-                r = bisect_root(df, prev_x, x)
-            except BracketError:  # pragma: no cover - guarded above
-                prev_x, prev_d = x, d
+                r = bisect_root(df, float(xs[i]), float(xs[i + 1]))
+            except BracketError:  # scalar and batch samples disagree in sign
                 continue
             if not roots or abs(r - roots[-1]) > 2.0 * h:
                 roots.append(r)
-        prev_x, prev_d = x, d
     return roots
 
 

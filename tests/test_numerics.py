@@ -102,45 +102,6 @@ def test_root_config_validation():
         RootConfig(max_iter=0)
 
 
-def test_maximize_scan_refines_past_the_grid():
-    x, v = sm.maximize_scan(
-        lambda t: -(t - 0.31729) ** 2, 0.0, 1.0, ScanConfig(grid_points=17, refine_iters=60)
-    )
-    assert x == pytest.approx(0.31729, abs=1e-9)
-    assert v == pytest.approx(0.0, abs=1e-15)
-
-
-def test_maximize_scan_never_loses_to_its_own_grid():
-    # spiky objective: refinement must return at least the best coarse sample
-    rng = np.random.default_rng(7)
-    knots = rng.uniform(0.0, 1.0, 40)
-
-    def f(t):
-        return float(np.sum(np.exp(-((t - knots) ** 2) * 4e4)))
-
-    cfg = ScanConfig(grid_points=101, refine_iters=30)
-    x, v = sm.maximize_scan(f, 0.0, 1.0, cfg)
-    grid_best = max(f(t) for t in np.linspace(0.0, 1.0, cfg.grid_points))
-    assert v >= grid_best - 1e-12
-
-
-def test_maximize_scan_skips_invalid_islands():
-    def f(t):
-        if t < 0.2:
-            return -math.inf
-        if t > 0.9:
-            return math.nan
-        return -(t - 0.5) ** 2
-
-    x, v = sm.maximize_scan(f, 0.0, 1.0, ScanConfig(grid_points=201, refine_iters=40))
-    assert x == pytest.approx(0.5, abs=1e-8)
-
-
-def test_maximize_scan_with_nothing_finite_raises():
-    with pytest.raises(EvaluationError):
-        sm.maximize_scan(lambda t: math.nan, 0.0, 1.0, ScanConfig(51, 10))
-
-
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(grid_points=1)
@@ -149,11 +110,20 @@ def test_scan_config_validation():
 
 
 def test_critical_points_finds_interior_extrema():
-    pts = sm.critical_points(math.sin, 0.0, 3.0 * math.pi, ScanConfig(4001, 40))
+    batch_sizes = []
+
+    def sin(x):
+        batch_sizes.append(np.size(x))
+        return np.sin(x)
+
+    pts = sm.critical_points(sin, 0.0, 3.0 * math.pi, ScanConfig(4001, 40))
     want = [math.pi / 2.0, 3.0 * math.pi / 2.0, 5.0 * math.pi / 2.0]
     assert len(pts) == len(want)
     for got, exp in zip(sorted(pts), want):
         assert got == pytest.approx(exp, abs=1e-6)
+    # the derivative grid is sampled in one batch (both difference sides);
+    # only the bisection refinement calls f point by point
+    assert sum(n > 1 for n in batch_sizes) == 2
 
 
 def test_solve_2x2_matches_numpy():
