@@ -64,6 +64,9 @@ class ScanConfig:
 
 _DEFAULT_ROOT = RootConfig()
 _DEFAULT_SCAN = ScanConfig()
+_EPS = float(np.finfo(float).eps)
+# central differences within this many ulps of f are roundoff (critical_points)
+_FLAT_ULPS = 1024.0
 
 def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     """Root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
@@ -170,6 +173,13 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
     refined by scalar bisection on the derivative.  Endpoints are excluded;
     an empty list is a legitimate answer for monotone f.  A NaN sample (an
     infeasible neighbour on either side) brackets nothing.
+
+    Where f is flat to roundoff (at both ends of a bracket the two samples
+    of the difference agree within _FLAT_ULPS * eps * |f|), the sign of the
+    derivative is noise: such a bracket is not bisected and its midpoint is
+    returned, whose value is within _FLAT_ULPS/8 * eps * |f| of any extremum
+    inside it.  A plateau can hold thousands of such brackets, and
+    bisecting each one would cost more than the whole scan.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -182,17 +192,26 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
     xs = lo + h * np.arange(1, cfg.grid_points)
     roots = []
     with np.errstate(invalid="ignore"):  # -inf - -inf and inf * 0 are NaN
-        d = df(xs)
+        up, down = f(xs + h), f(xs - h)
+        d = (up - down) / (2.0 * h)
+        flat = np.isfinite(d) & (
+            np.abs(up - down)
+            <= _FLAT_ULPS * _EPS * np.maximum(np.abs(up), np.abs(down))
+        )
         prev, cur = d[:-1], d[1:]
         # a run of exact zeros counts once, where it starts
         change = ~np.isnan(prev) & (
             (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
         )
         for i in np.flatnonzero(change):
-            try:
-                r = bisect_root(df, float(xs[i]), float(xs[i + 1]))
-            except BracketError:  # scalar and batch samples disagree in sign
-                continue
+            lo_i, hi_i = float(xs[i]), float(xs[i + 1])
+            if flat[i] and flat[i + 1]:
+                r = 0.5 * (lo_i + hi_i)
+            else:
+                try:
+                    r = bisect_root(df, lo_i, hi_i)
+                except BracketError:  # scalar and batch samples disagree in sign
+                    continue
             if not roots or abs(r - roots[-1]) > 2.0 * h:
                 roots.append(r)
     return roots

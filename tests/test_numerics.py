@@ -126,6 +126,22 @@ def test_critical_points_finds_interior_extrema():
     assert sum(n > 1 for n in batch_sizes) == 2
 
 
+def test_critical_points_does_not_bisect_roundoff_noise():
+    batch_sizes = []
+
+    def plateau(x):
+        batch_sizes.append(np.size(x))
+        return (1.3 + x) - x  # constant up to one ulp of roundoff
+
+    pts = sm.critical_points(plateau, 0.0, 1.0, ScanConfig(4001, 40))
+    # the noise changes the derivative's sign many times; every bracket is
+    # answered by its midpoint, without a scalar call
+    assert len(pts) > 100
+    assert batch_sizes == [4000, 4000]
+    assert all(0.0 < x < 1.0 for x in pts)
+    assert np.all(np.diff(pts) > 2.0 / 4001)
+
+
 def test_solve_2x2_matches_numpy():
     rng = np.random.default_rng(11)
     for _ in range(50):
