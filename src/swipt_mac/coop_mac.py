@@ -31,11 +31,14 @@ Weighted-rate solves:
   maximum of the rho-free weighted rate J(p12, pu2), screened at the
   minimal covering rho (the "interior" branch, optimal when the sum bound
   is slack), and a search over (rho, pu2) slices with p12 rooted on the
-  destination-cost equality (the "balanced"/"cost-tight" branch).  Every
-  search step evaluates its candidates as one numpy batch: all slices are
-  rooted at once by ``bracket_roots``, and zoom grids run in lockstep
-  across rows.  ``ScanConfig`` sets the rho grid and the rho zoom depth;
-  both user orientations are solved (see ``coop_solve_general``).
+  destination-cost equality (the "balanced"/"cost-tight" branch).  Since
+  pu2 is gridded while p12 is rooted, the network is solved in both user
+  orientations, as given and with the users swapped, and the better one
+  wins.  Both orientations run as one lockstep search: every row of a
+  batch carries its orientation's constants, so each search step is one
+  numpy batch over the candidates of both; all slices are rooted at once
+  by ``bracket_roots``, and zoom grids run in lockstep across rows.
+  ``ScanConfig`` sets the rho grid and the rho zoom depth.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _ROOT = RootConfig(abs_tol=1e-11, max_iter=150)
 _SEEDS = 9  # p12 seeds per slice that locate the cost-equality crossings
+_T = np.linspace(0.0, 1.0, _SEEDS)  # the seeds in the slice coordinate
 _GRID = 17  # coarse grid of every zoom search
 _ZOOM = 9  # points per zoom level; each level narrows the bracket 4x
 _FEAS = 1e-12  # pu1 and sum-MI tolerance of a feasible point
@@ -134,8 +138,8 @@ class _Ctx:
     """Per-solve constants of one user labelling."""
 
     __slots__ = (
-        "p", "b", "c", "h1", "h2", "n", "n_p", "bud1", "bud2",
-        "phi1", "phi2", "phid", "eh", "exp_cut",
+        "p", "b", "c", "h1", "h2", "hh1", "hh2", "hh12", "n", "n_p",
+        "bud1", "bud2", "phi1", "phi2", "phid", "eh", "exp_cut",
     )
 
     def __init__(self, params: CoopParams):
@@ -144,6 +148,10 @@ class _Ctx:
         self.c = params.c
         self.h1 = params.h1
         self.h2 = params.h2
+        # the coefficients of _s_total, rounded as h1*h1*(...) would round
+        self.hh1 = self.h1 * self.h1
+        self.hh2 = self.h2 * self.h2
+        self.hh12 = 2.0 * self.h1 * self.h2
         self.n = params.n
         self.n_p = params.n_p
         self.bud1 = params.p_u1_budget
@@ -159,24 +167,98 @@ class _Ctx:
             self.exp_cut = (u1.beta, 1.0 - u1.beta * u2.beta * self.b * self.c)
 
 
+# rows of _Pair.table, one column per orientation
+_FIELDS = (
+    "b", "c", "hh1", "hh2", "hh12", "bud1", "bud2", "beta1", "k", "mu1", "mu2", "o",
+)
+
+
+class _Pair:
+    """Both user orientations of one solve: o = 0 is the network as given,
+    o = 1 the user-swapped network with the weights swapped too.
+
+    Each orientation keeps its own _Ctx, so derived constants (exp_cut's k
+    among them) round exactly as in a solve of that orientation alone;
+    ``table`` stacks them with the weights, one column per orientation.
+    The destination side (noises, harvester, fee) is the same in both.
+    """
+
+    def __init__(self, params: CoopParams, mu1: float, mu2: float):
+        self.ctx = (_Ctx(params), _Ctx(params.swapped()))
+        self.users = (params.cost_user1, params.cost_user2)
+        self.same_fees = params.cost_user1 == params.cost_user2
+        self.exp = self.ctx[0].exp_cut is not None  # both orientations alike
+        cols = []
+        for o, (ctx, mu) in enumerate(zip(self.ctx, ((mu1, mu2), (mu2, mu1)))):
+            beta1, k = ctx.exp_cut or (math.nan, math.nan)
+            cols.append([
+                ctx.b, ctx.c, ctx.hh1, ctx.hh2, ctx.hh12, ctx.bud1, ctx.bud2,
+                beta1, k, mu[0], mu[1], float(o),
+            ])
+        self.table = np.array(cols).T
+
+    def rows(self, o) -> "_Rows":
+        """Constants at the orientation ids o (an int array of any shape)."""
+        return _Rows(self, self.table[:, o])
+
+
+class _Rows:
+    """Constants of a batch of rows, each in its own orientation: the
+    attributes of _Ctx (plus the weights) as arrays shaped like the rows.
+    ``tab`` holds them stacked in _FIELDS order; rows past those are
+    ignored."""
+
+    __slots__ = ("pair", "tab", "n", "n_p", "eh", "phid") + _FIELDS
+
+    def __init__(self, pair: _Pair, tab):
+        self.pair, self.tab = pair, tab
+        ctx = pair.ctx[0]
+        self.n, self.n_p, self.eh, self.phid = ctx.n, ctx.n_p, ctx.eh, ctx.phid
+        (
+            self.b, self.c, self.hh1, self.hh2, self.hh12, self.bud1, self.bud2,
+            self.beta1, self.k, self.mu1, self.mu2, self.o,
+        ) = tab[:len(_FIELDS)]
+
+    def take(self, idx) -> "_Rows":
+        return _Rows(self.pair, self.tab[:, idx])
+
+    def col(self) -> "_Rows":
+        """The same rows as a column, to broadcast against points per row."""
+        return _Rows(self.pair, self.tab[..., None])
+
+    def fee_of(self, user: int, fn):
+        """fn(fee model) of user 1 (user=0) or 2 (user=1) of each row's
+        orientation; the swapped orientation exchanges the two models."""
+        models = self.pair.users
+        if self.pair.same_fees:
+            return fn(models[0])
+        return np.where(self.o == 0.0, fn(models[user]), fn(models[1 - user]))
+
+    def phi1(self, r):
+        return self.fee_of(0, lambda m: m.eval(r))
+
+    def phi2(self, r):
+        return self.fee_of(1, lambda m: m.eval(r))
+
+
 def _rate(x):
     return np.log1p(x) / (2.0 * _LOG2)
 
 
-def _s_total(ctx: _Ctx, p12, p21, pu1, pu2):
+def _s_total(ctx: _Ctx | _Rows, p12, p21, pu1, pu2):
     return (
-        ctx.h1 * ctx.h1 * (p12 + pu1)
-        + ctx.h2 * ctx.h2 * (p21 + pu2)
-        + 2.0 * ctx.h1 * ctx.h2 * np.sqrt(pu1 * pu2)
+        ctx.hh1 * (p12 + pu1)
+        + ctx.hh2 * (p21 + pu2)
+        + ctx.hh12 * np.sqrt(pu1 * pu2)
     )
 
 
-def _mi_sum(ctx: _Ctx, rho, s):
+def _mi_sum(ctx: _Ctx | _Rows, rho, s):
     y = 1.0 - rho
     return 0.5 * np.log2(1.0 + y * s / (y * ctx.n + ctx.n_p))
 
 
-def _alloc(ctx: _Ctx, pu2, p12):
+def _alloc(ctx: _Ctx | _Rows, pu2, p12):
     """Budget elimination at (pu2, p12), arrays broadcast.  pu1 may come
     out negative (infeasible); p21 is clipped at 0 against roundoff, the
     p12 span keeps it non-negative otherwise."""
@@ -187,7 +269,7 @@ def _alloc(ctx: _Ctx, pu2, p12):
     return {"p12": p12, "p21": p21, "pu1": pu1, "pu2": pu2, "r1": r1, "r2": r2}
 
 
-def _tight_eval(ctx: _Ctx, rho, pu2, p12):
+def _tight_eval(ctx: _Ctx | _Rows, rho, pu2, p12):
     """_alloc plus the coherent power s and the destination-cost residual."""
     ev = _alloc(ctx, pu2, p12)
     ev["s"] = _s_total(ctx, p12, ev["p21"], np.maximum(ev["pu1"], 0.0), pu2)
@@ -196,27 +278,25 @@ def _tight_eval(ctx: _Ctx, rho, pu2, p12):
     return ev
 
 
-def _p12_span(ctx: _Ctx, pu2):
+def _p12_span(rows: _Rows, pu2):
     """p12 range of each pu2 slice; hi < lo marks an empty slice.
 
     p21 >= 0 caps r1 at phi2^-1(q2) for every fee family.  With Exp user
     fees pu1 >= 0 is an affine cut as well; other families are screened
     point by point.
     """
-    q2 = ctx.bud2 - pu2
-    with np.errstate(over="ignore"):
-        r_cap = cost_rate_cap(ctx.p.cost_user2, q2, np.inf)
-        hi = np.minimum(ctx.bud1, np.expm1(2.0 * _LOG2 * r_cap) / ctx.b)
-    lo = np.zeros_like(hi)
-    if ctx.exp_cut is not None:
-        beta1, k = ctx.exp_cut
-        a = ctx.bud1 - beta1 * ctx.c * q2
-        if k > 0.0:
-            hi = np.minimum(hi, a / k)
-        elif k < 0.0:  # the cut floors p12 instead
-            lo = np.maximum(lo, a / k)
-        else:
-            hi = np.where(a >= 0.0, hi, -1.0)
+    q2 = rows.bud2 - pu2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r_cap = rows.fee_of(1, lambda m: cost_rate_cap(m, q2, np.inf))
+        hi = np.minimum(rows.bud1, np.expm1(2.0 * _LOG2 * r_cap) / rows.b)
+        lo = np.zeros_like(hi)
+        if rows.pair.exp:
+            k = rows.k
+            a = rows.bud1 - rows.beta1 * rows.c * q2
+            cut = a / k
+            hi = np.where(k > 0.0, np.minimum(hi, cut), hi)
+            lo = np.where(k < 0.0, np.maximum(lo, cut), lo)  # the cut floors p12
+            hi = np.where((k == 0.0) & ~(a >= 0.0), -1.0, hi)
     return lo, hi
 
 
@@ -293,89 +373,113 @@ def _zoom_rows(evaluate, lo, hi, levels: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _interior_candidate(ctx: _Ctx, mu1: float, mu2: float):
-    """Box maximum of the rho-free weighted rate, screened against the
-    destination constraints at the minimal covering rho.
+def _interior_candidates(pair: _Pair) -> list:
+    """Box maximum of the rho-free weighted rate in each orientation,
+    screened against the destination constraints at the minimal covering
+    rho.
 
-    J(p12, pu2) is maximised by a nested zoom: pu2 outer, p12 inner on
-    each slice's span.  Returns a candidate record or None when the
-    destination cannot cover the resulting fee or the sum MI bound fails
-    at the covering rho.
+    J(p12, pu2) is maximised by a nested zoom, one outer row per
+    orientation: pu2 outer, p12 inner on each slice's span.  An
+    orientation's candidate is None when the destination cannot cover the
+    resulting fee or the sum MI bound fails at the covering rho.
     """
 
     def over_p12(pu2, rows):
         flat = pu2.ravel()
-        lo, hi = _p12_span(ctx, flat)
+        cons = pair.rows(np.broadcast_to(rows[:, None], pu2.shape).ravel())
+        lo, hi = _p12_span(cons, flat)
         empty = hi < lo
 
         def j_at(p12, sub):
-            ev = _alloc(ctx, flat[sub, None], p12)
+            at = cons.take(sub).col()
+            ev = _alloc(at, flat[sub, None], p12)
             ok = (ev["pu1"] >= -_FEAS) & ~empty[sub, None]
-            ev["J"] = np.where(ok, mu1 * ev["r1"] + mu2 * ev["r2"], -np.inf)
+            ev["J"] = np.where(ok, at.mu1 * ev["r1"] + at.mu2 * ev["r2"], -np.inf)
             return ev
 
         rec = _zoom_rows(j_at, lo, np.maximum(hi, lo), _INTERIOR_LEVELS)
         return {k: v.reshape(pu2.shape) for k, v in rec.items() if k != "x"}
 
-    rec = _zoom_rows(over_p12, np.zeros(1), np.full(1, ctx.bud2), _INTERIOR_LEVELS)
-    if not np.isfinite(rec["J"][0]):
-        return None
-    cand = _scalar(_take(rec, 0))
+    bud2 = np.array([ctx.bud2 for ctx in pair.ctx])
+    rec = _zoom_rows(over_p12, np.zeros(2), bud2, _INTERIOR_LEVELS)
+    return [
+        _covered(ctx, _scalar(_take(rec, o))) if np.isfinite(rec["J"][o]) else None
+        for o, ctx in enumerate(pair.ctx)
+    ]
+
+
+def _covered(ctx: _Ctx, cand: dict):
+    """An interior candidate at its minimal covering rho, or None when the
+    fee is uncoverable or the sum bound binds (the balanced branch owns
+    that case)."""
     cand["pu1"] = max(cand["pu1"], 0.0)
     r_sum = cand["r1"] + cand["r2"]
     s = float(_s_total(ctx, cand["p12"], cand["p21"], cand["pu1"], cand["pu2"]))
     rho = _covering_rho(ctx, ctx.phid(r_sum), s)
-    # uncoverable fee, or the sum bound binds: the balanced branch owns that
     if rho is None or _mi_sum(ctx, rho, s) < r_sum - 1e-12:
         return None
     cand.update(rho=rho, source="interior")
     return cand
 
 
-def _tight_best(ctx: _Ctx, mu1: float, mu2: float, rho, pu2) -> dict:
+# the record of a cost-tight point (besides "J")
+_TIGHT_KEYS = ("p12", "p21", "pu1", "pu2", "r1", "r2", "rho", "mi_res")
+
+
+def _tight_best(pair: _Pair, o, rho, pu2) -> dict:
     """Best destination-cost-tight point inside the sum MI bound on each
-    (rho, pu2) slice (arrays broadcast); "J" is -inf where there is none.
+    (rho, pu2) slice; row r of pu2 holds pu2 values at orientation o[r]
+    and rho[r].  "J" is -inf where there is none.
 
     _SEEDS seeds across each slice's p12 span mark the sign changes of
-    the cost residual, bracket_roots roots all of them at once, and each
-    slice keeps its best feasible root.
+    the cost residual, bracket_roots roots all of them at once from the
+    seed values, and each slice keeps its best feasible root.
     """
-    rho, pu2 = np.broadcast_arrays(np.asarray(rho, float), np.asarray(pu2, float))
-    shape = rho.shape
-    rho, pu2 = rho.ravel(), pu2.ravel()
-    lo, hi = _p12_span(ctx, pu2)
+    shape = pu2.shape
+    o, rho = np.repeat(o, shape[1]), np.repeat(rho, shape[1])
+    pu2 = pu2.ravel()
+    cons = pair.rows(o)
+    lo, hi = _p12_span(cons, pu2)
     span = np.maximum(hi - lo, 0.0)
-    t = np.linspace(0.0, 1.0, _SEEDS)
-    ev = _tight_eval(ctx, rho[:, None], pu2[:, None], lo[:, None] + span[:, None] * t)
+    ev = _tight_eval(
+        cons.col(), rho[:, None], pu2[:, None], lo[:, None] + span[:, None] * _T
+    )
     ok = (ev["pu1"] >= -_FEAS) & (hi >= lo)[:, None]
     f = ev["cost_res"]
     pairs = ok[:, :-1] & ok[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0.0)
     i, j = np.nonzero(pairs)
-    roots = np.full(pairs.shape, np.nan)
+    # per bracket: its slice's constants, then rho, pu2, lo and span
+    tab = np.concatenate([cons.tab[:, i], [rho[i], pu2[i], lo[i], span[i]]])
+    rec = np.full((len(_TIGHT_KEYS), i.size + 1), np.nan)  # NaN column: no root
+    J = np.full(pairs.shape, -np.inf)
     if i.size:
+
+        def residual(x, k):
+            at = tab if k.size == i.size else tab[:, k]
+            rho_k, pu2_k, lo_k, span_k = at[-4:]
+            return _tight_eval(_Rows(pair, at), rho_k, pu2_k, lo_k + span_k * x)["cost_res"]
+
         # rooted in t, not p12: pu1 can move |k| >> 1 times faster than p12,
         # while t tracks pu1 (affinely, for Exp user fees)
         t_root = bracket_roots(
-            lambda x, k: _tight_eval(
-                ctx, rho[i[k]], pu2[i[k]], lo[i[k]] + span[i[k]] * x
-            )["cost_res"],
-            t[j],
-            t[j + 1],
-            _ROOT,
+            residual, _T[j], _T[j + 1], _ROOT, f_lo=f[i, j], f_hi=f[i, j + 1]
         )
-        roots[i, j] = lo[i] + span[i] * t_root
-    found = ~np.isnan(roots)
-    ev = _tight_eval(
-        ctx, rho[:, None], pu2[:, None], np.where(found, roots, lo[:, None])
-    )
-    r_sum = ev["r1"] + ev["r2"]
-    ev["mi_res"] = _mi_sum(ctx, rho[:, None], ev.pop("s")) - r_sum
-    ok = found & (ev["pu1"] >= -_FEAS) & (ev["mi_res"] >= -_FEAS)
-    ev["J"] = np.where(ok, mu1 * ev["r1"] + mu2 * ev["r2"], -np.inf)
-    del ev["cost_res"]
-    best = _row_best(ev, roots)
-    del best["x"]
-    return {k: v.reshape(shape) for k, v in best.items()}
+        at = _Rows(pair, tab)
+        ev = _tight_eval(at, rho[i], pu2[i], lo[i] + span[i] * t_root)
+        r_sum = ev["r1"] + ev["r2"]
+        ev["mi_res"] = _mi_sum(at, rho[i], ev["s"]) - r_sum
+        ok = (ev["pu1"] >= -_FEAS) & (ev["mi_res"] >= -_FEAS)
+        J[i, j] = np.where(ok, at.mu1 * ev["r1"] + at.mu2 * ev["r2"], -np.inf)
+        for row, key in zip(rec, _TIGHT_KEYS):
+            row[:-1] = ev[key]
+    # each slice's best root
+    col = np.argmax(J, axis=1)
+    pick = np.full(pairs.shape, i.size)
+    pick[i, j] = np.arange(i.size)
+    slices = np.arange(col.size)
+    best = dict(zip(_TIGHT_KEYS, rec[:, pick[slices, col]].reshape(-1, *shape)))
+    best["J"] = J[slices, col].reshape(shape)
+    return best
 
 
 def _pu2_floor(ctx: _Ctx, rho):
@@ -401,18 +505,38 @@ def _pu2_floor(ctx: _Ctx, rho):
     return rho[live], np.maximum(0.0, ctx.bud2 - 1.02 * cap[live])
 
 
-def _pu2_search(ctx: _Ctx, mu1, mu2, rho, lo, hi) -> dict:
-    """Best cost-tight point over pu2 in [lo_r, hi_r] at each rho_r."""
-    return _zoom_rows(
-        lambda x, rows: _tight_best(ctx, mu1, mu2, rho[rows, None], x),
+def _pu2_search(pair: _Pair, blocks: list) -> list:
+    """Best cost-tight point over pu2 in [lo_r, hi_r] at each rho_r, for
+    the row blocks (o, rho, lo, hi) of orientations o at once.
+
+    All rows share one lockstep zoom.  Returns each block's best record,
+    or None where the block holds no feasible point.
+    """
+    o = np.concatenate([np.full(blk[1].size, blk[0]) for blk in blocks])
+    rho, lo, hi = (np.concatenate(v) for v in list(zip(*blocks))[1:])
+    best = _zoom_rows(
+        lambda x, rows: _tight_best(pair, o[rows], rho[rows], x),
         lo,
         hi,
         _PU2_LEVELS,
     )
+    out, start = [], 0
+    for blk in blocks:
+        stop = start + blk[1].size
+        i = start + int(np.argmax(best["J"][start:stop]))
+        out.append(_scalar(_take(best, i)) if np.isfinite(best["J"][i]) else None)
+        start = stop
+    return out
 
 
-def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
-    """Best cost-tight candidate over (rho, pu2), or None.
+def _balanced_search(ctx: _Ctx, scan: ScanConfig):
+    """Best cost-tight candidate over (rho, pu2) of one orientation, or
+    None.
+
+    A generator: it yields the (rho, lo, hi) rows of each pu2 search it
+    needs, is sent their best record (None when they hold no feasible
+    point), and returns its candidate.  _balanced_candidates runs both
+    orientations in lockstep, one _pu2_search per step.
 
     Stage 1 grids rho at scan.grid_points values and searches pu2 at each
     over [_pu2_floor(rho), bud2].  Stage 2 zooms rho around the
@@ -427,11 +551,9 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
     rho, lo = _pu2_floor(ctx, np.linspace(0.0, 1.0, scan.grid_points))
     if not rho.size:
         return None
-    best = _pu2_search(ctx, mu1, mu2, rho, lo, np.full(rho.size, ctx.bud2))
-    i = int(np.argmax(best["J"]))
-    if not np.isfinite(best["J"][i]):
+    inc = yield rho, lo, np.full(rho.size, ctx.bud2)
+    if inc is None:
         return None
-    inc = _scalar(_take(best, i))
     h_rho = 1.0 / (scan.grid_points - 1)
     w = ctx.bud2 / 16.0
     offsets = np.linspace(-1.0, 1.0, _ZOOM)
@@ -439,17 +561,16 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
     while levels > 0:
         rho = np.clip(inc["rho"] + h_rho * offsets, 0.0, 1.0)
         g_rho, g_lo = _pu2_floor(ctx, rho)
-        best = _pu2_search(  # global windows, then the local ones
-            ctx, mu1, mu2, np.concatenate([g_rho, rho]),
+        best = yield (  # global windows, then the local ones
+            np.concatenate([g_rho, rho]),
             np.concatenate([g_lo, np.full(rho.size, max(0.0, inc["pu2"] - w))]),
             np.concatenate([
                 np.full(g_rho.size, ctx.bud2),
                 np.full(rho.size, min(ctx.bud2, inc["pu2"] + w)),
             ]),
         )
-        i = int(np.argmax(best["J"]))
-        if best["J"][i] > inc["J"]:
-            inc = _scalar(_take(best, i))
+        if best is not None and best["J"] > inc["J"]:
+            inc = best
             if walks and inc["rho"] in (rho[0], rho[-1]) and 0.0 < inc["rho"] < 1.0:
                 walks -= 1  # see docstring: move on at twice the step
                 h_rho *= 2.0
@@ -460,6 +581,29 @@ def _balanced_candidate(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
     inc["pu1"] = max(inc["pu1"], 0.0)
     inc["source"] = "balanced" if abs(inc["mi_res"]) < 1e-6 else "cost-tight"
     return inc
+
+
+def _balanced_candidates(pair: _Pair, scan: ScanConfig) -> list:
+    """_balanced_search of both orientations in lockstep: each step merges
+    the row blocks of the searches still running into one _pu2_search."""
+    found = [None, None]
+    running = {}
+
+    def advance(o, search, best):
+        try:
+            running[o] = (search, search.send(best))
+        except StopIteration as stop:
+            found[o] = stop.value
+            running.pop(o, None)
+
+    for o, ctx in enumerate(pair.ctx):
+        advance(o, _balanced_search(ctx, scan), None)
+    while running:
+        step = list(running.items())
+        bests = _pu2_search(pair, [(o, *rows) for o, (_, rows) in step])
+        for (o, (search, _)), best in zip(step, bests):
+            advance(o, search, best)
+    return found
 
 
 def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution:
@@ -495,10 +639,9 @@ def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution
     )
 
 
-def _solve_oriented(ctx: _Ctx, mu1: float, mu2: float, scan: ScanConfig):
-    """Best candidate for one user labeling: interior branch, balanced
-    branch, and the all-common backstop (zero rates, always feasible)."""
-    found = (_interior_candidate(ctx, mu1, mu2), _balanced_candidate(ctx, mu1, mu2, scan))
+def _pick(ctx: _Ctx, found) -> tuple:
+    """Best candidate of one orientation: interior branch, balanced branch,
+    and the all-common backstop (zero rates, always feasible)."""
     cands = [cc for cc in found if cc is not None] or [{
         "J": 0.0, "p12": 0.0, "p21": 0.0, "pu1": ctx.bud1, "pu2": ctx.bud2,
         "r1": 0.0, "r2": 0.0, "rho": 0.0, "source": "zero",
@@ -540,23 +683,33 @@ def coop_solve_general(
     solution always exists.
 
     pu2 is gridded while p12 is rooted exactly, so the grid favours one
-    user; the solve is repeated on the user-swapped network and the better
-    orientation wins (notes["mirrored"]).  That keeps the solver exactly
-    symmetric under a user swap and restores accuracy at extreme weights.
+    user.  The network is therefore solved in both user orientations, as
+    given and user-swapped (weights swapped too), and the better one wins
+    (notes["mirrored"]; notes["branches"] lists the winner's branches).
+    That keeps the solver exactly symmetric under a user swap and restores
+    accuracy at extreme weights.  The two orientations run as one search:
+    each batch holds the rows of both, every row with its own
+    orientation's constants and fee families, and in the stage-2 rho zoom
+    each orientation keeps its own incumbent and bracket, so an
+    orientation that needs more levels runs on alone.  Merging changes no
+    result: every row is computed exactly as a search of its orientation
+    alone would compute it.
     """
     if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
         raise ValueError("weights must be non-negative and not both zero")
     scan = scan or ScanConfig(grid_points=61, refine_iters=24)
 
-    ctx = _Ctx(params)
-    cand, branches = _solve_oriented(ctx, mu1, mu2, scan)
-    cand_m, branches_m = _solve_oriented(_Ctx(params.swapped()), mu2, mu1, scan)
+    pair = _Pair(params, mu1, mu2)
+    found = zip(_interior_candidates(pair), _balanced_candidates(pair, scan))
+    (cand, branches), (cand_m, branches_m) = (
+        _pick(ctx, cands) for ctx, cands in zip(pair.ctx, found)
+    )
     mirrored = cand_m["J"] > cand["J"]
     if mirrored:
         cand, branches = _swap_candidate(cand_m), branches_m
 
     return _build_solution(
-        ctx,
+        pair.ctx[0],
         mu1,
         mu2,
         cand,

@@ -152,7 +152,7 @@ class LogisticEh(EhModel):
             raw = _expit_scalar(self.q1 * (p_in - self.q2))
             return self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
         p_in = np.asarray(p_in, dtype=float)
-        if np.any(p_in < 0):
+        if (p_in < 0).any():
             raise ModelDomainError("EH input power must be >= 0")
         raw = expit(self.q1 * (p_in - self.q2))  # = Psi/p_max_dc
         out = self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
@@ -195,7 +195,7 @@ class LinearEh(EhModel):
                 raise ModelDomainError("EH input power must be >= 0")
             return self.eta * float(p_in)
         p_in = np.asarray(p_in, dtype=float)
-        if np.any(p_in < 0):
+        if (p_in < 0).any():
             raise ModelDomainError("EH input power must be >= 0")
         out = self.eta * p_in
         return out if out.ndim else float(out)
@@ -233,7 +233,7 @@ class CostModel:
 
 def _check_rate(r):
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ModelDomainError("rate must be >= 0")
     return r
 

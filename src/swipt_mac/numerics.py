@@ -104,23 +104,26 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     return 0.5 * (lo + hi)
 
 
-def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
+def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT, *, f_lo=None, f_hi=None):
     """Roots of a batch of brackets at once, by Illinois regula falsi.
 
-    ``f(x, idx)`` evaluates the batch elements ``idx`` (an index array) at
-    the points ``x``.  As in bisect_root, each bracket needs f(lo)*f(hi)
-    <= 0, and an element is done at an exact zero or once its bracket is
-    narrower than cfg.abs_tol (the midpoint is returned).  Smooth brackets
-    converge superlinearly; a bracket that has not halved over three passes
-    takes a bisection step, so every four passes at least halve it.  After
+    ``f(x, idx)`` evaluates the batch elements ``idx`` (the elements still
+    active, in increasing order) at the points ``x``.  ``f_lo``/``f_hi``, when given, are the values of f at
+    ``lo``/``hi`` that the caller already holds; each one supplied saves a
+    pass of f.  As in bisect_root, each bracket needs f(lo)*f(hi) <= 0, and
+    an element is done at an exact zero or once its bracket is narrower
+    than cfg.abs_tol (the midpoint is returned).  Smooth brackets converge
+    superlinearly; a bracket that has not halved over three passes takes a
+    bisection step, so every four passes at least halve it.  After
     cfg.max_iter passes the midpoints are returned.  Raises BracketError
-    when an endpoint pair does not straddle zero and EvaluationError on NaN.
+    when an endpoint pair does not straddle zero and EvaluationError on NaN,
+    for supplied endpoint values as for evaluated ones.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     idx = np.arange(lo.size)
-    flo = np.asarray(f(lo, idx), dtype=float)
-    fhi = np.asarray(f(hi, idx), dtype=float)
+    flo = np.asarray(f(lo, idx) if f_lo is None else f_lo, dtype=float)
+    fhi = np.asarray(f(hi, idx) if f_hi is None else f_hi, dtype=float)
     if np.isnan(flo).any() or np.isnan(fhi).any():
         raise EvaluationError("NaN at bracket endpoint")
     bad = np.nonzero(flo * fhi > 0.0)[0]
@@ -133,8 +136,10 @@ def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     act = np.nonzero((flo != 0.0) & (fhi != 0.0))[0]
     a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
     side = np.zeros(act.size)  # end the last step moved: -1 lo, +1 hi, 0 bisection
-    widths = np.full((3, act.size), np.inf)  # bracket widths of the last 3 passes
-    for _ in range(cfg.max_iter):
+    # ring of the bracket widths of the last 3 passes: at pass n, row n % 3
+    # holds the width of pass n - 3
+    widths = np.full((3, act.size), np.inf)
+    for n in range(cfg.max_iter):
         w = b - a
         done = w < cfg.abs_tol
         if done.any():
@@ -144,23 +149,24 @@ def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
                 v[keep] for v in (act, a, b, fa, fb, side, w)
             )
             widths = widths[:, keep]
-            if act.size == 0:
-                return root
+        if act.size == 0:  # also when every bracket had an endpoint zero
+            return root
         x = (a * fb - b * fa) / (fb - fa)
-        bis = (w > 0.5 * widths[0]) | ~((x > a) & (x < b))
+        bis = (w > 0.5 * widths[n % 3]) | ~((x > a) & (x < b))
         x = np.where(bis, 0.5 * (a + b), x)
         fx = np.asarray(f(x, act), dtype=float)
         if np.isnan(fx).any():
             raise EvaluationError(f"NaN at x={x[np.isnan(fx)][0]}")
         left = fx * fa > 0.0  # x replaces the lower end
+        moved = np.where(left, -1.0, 1.0)
         # Illinois: an end kept twice in a row has its value halved
-        fb = np.where(left & (side == -1.0), 0.5 * fb, fb)
-        fa = np.where(~left & (side == 1.0), 0.5 * fa, fa)
-        a, fa = np.where(left, x, a), np.where(left, fx, fa)
-        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        kept = np.where(left, fb, fa)
+        kept = np.where(side == moved, 0.5 * kept, kept)
+        a, fa = np.where(left, x, a), np.where(left, fx, kept)
+        b, fb = np.where(left, b, x), np.where(left, kept, fx)
         a = np.where(fx == 0.0, x, a)  # an exact zero closes the bracket on x
-        side = np.where(bis, 0.0, np.where(left, -1.0, 1.0))
-        widths = np.vstack([widths[1:], w])
+        side = np.where(bis, 0.0, moved)
+        widths[n % 3] = w
     root[act] = 0.5 * (a + b)
     return root
 

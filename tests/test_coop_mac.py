@@ -104,6 +104,30 @@ def test_general_solver_swap_symmetry():
         assert sol.alloc.p12 == pytest.approx(mirrored.alloc.p21, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cost_user1, cost_user2",
+    [(sm.ExpCost(1e-3), sm.LogCost(1e-3)), (sm.LinCost(1e-3), sm.ExpCost(2e-3))],
+    ids=["exp-log", "lin-exp"],
+)
+def test_mixed_user_fees_swap_symmetry(cost_user1, cost_user2):
+    # each row of the joint search picks its own orientation's fee family
+    params = iv_coop(
+        0.008, 1e-3, h12=0.008, h21=0.004,
+        cost_user1=cost_user1, cost_user2=cost_user2,
+    )
+    sol = coop_solve_general(params, 0.3, 0.7, FAST)
+    swapped = coop_solve_general(params.swapped(), 0.7, 0.3, FAST)
+    assert sol.weighted_rate == swapped.weighted_rate
+    assert (sol.r1, sol.r2) == (swapped.r2, swapped.r1)
+    assert (sol.alloc.p12, sol.alloc.p21) == (swapped.alloc.p21, swapped.alloc.p12)
+    assert (sol.alloc.pu1, sol.alloc.pu2) == (swapped.alloc.pu2, swapped.alloc.pu1)
+    assert sol.notes["mirrored"] != swapped.notes["mirrored"]
+    # a row charged its partner's fee family would leave a budget unspent
+    for res in (sol.constraint_residuals, swapped.constraint_residuals):
+        assert abs(res["budget1_w"]) < 1e-9 and abs(res["budget2_w"]) < 1e-9
+        assert res["dest_cost_w"] >= -1e-9 and res["sum_mi_bits"] >= -1e-9
+
+
 @pytest.mark.parametrize("fam, floor", [("log", 0.5019255), ("lin", 0.5019202)])
 def test_non_exp_user_fees_spend_both_budgets(fam, floor):
     # the budget equalities are eliminated explicitly for every fee family,

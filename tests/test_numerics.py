@@ -95,6 +95,36 @@ def test_bracket_roots_fail_like_bisect_root():
         sm.bracket_roots(hole, [0.0], [1.0])
 
 
+def test_bracket_roots_take_supplied_endpoint_values():
+    fns = [fn for fn, _, _ in _BATCH]
+    lo = np.array([a for _, a, _ in _BATCH])
+    hi = np.array([b for _, _, b in _BATCH])
+    cfg = RootConfig(abs_tol=1e-11, max_iter=200)
+    calls, calls_given = [], []
+    roots = sm.bracket_roots(_batched(fns, calls), lo, hi, cfg)
+    given = sm.bracket_roots(
+        _batched(fns, calls_given), lo, hi, cfg,
+        f_lo=[fn(a) for fn, a, _ in _BATCH], f_hi=[fn(b) for fn, _, b in _BATCH],
+    )
+    assert given.tobytes() == roots.tobytes()  # bitwise the same roots
+    assert len(calls_given) == len(calls) - 2  # the two endpoint passes
+    # supplied values are screened like evaluated ones
+    line = _batched([lambda x: x - 0.5])
+    with pytest.raises(BracketError):
+        sm.bracket_roots(line, [0.0], [1.0], f_lo=[0.5], f_hi=[0.5])
+    with pytest.raises(EvaluationError):
+        sm.bracket_roots(line, [0.0], [1.0], f_lo=[math.nan], f_hi=[0.5])
+    with pytest.raises(EvaluationError):
+        sm.bracket_roots(line, [0.0], [1.0], f_lo=[-0.5], f_hi=[math.nan])
+    # endpoint zeros are roots already: f is not called at all
+    calls = []
+    zeros = sm.bracket_roots(
+        _batched([lambda x: x - 0.5] * 2, calls), [0.5, 0.0], [1.0, 0.5],
+        f_lo=[0.0, -0.5], f_hi=[0.5, 0.0],
+    )
+    assert zeros.tolist() == [0.5, 0.5] and calls == []
+
+
 def test_root_config_validation():
     with pytest.raises(ValueError):
         RootConfig(abs_tol=0.0)

@@ -4,7 +4,7 @@ import pytest
 
 import swipt_mac as sm
 from swipt_mac.classical_sic import sic_sumrate_numeric
-from swipt_mac.coop_mac import coop_constraints_eval, coop_solve_general
+from swipt_mac.coop_mac import classicalized, coop_constraints_eval, coop_solve_general
 from swipt_mac.numerics import ScanConfig
 
 from conftest import iv_classical, iv_coop
@@ -85,3 +85,36 @@ def test_coop_oracle_zero_weight_side_is_ignored():
     params = iv_coop(0.008, 1e-3)
     ref = sm.oracle_coop_weighted(params, 1.0, 0.0, grid=61)
     assert ref.weighted_rate == pytest.approx(ref.r1, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "coop",
+    [iv_coop(0.008, 1e-3), iv_coop(0.008, 10.0 ** -2.1)],
+    ids=["baseline", "criterion-7-high-fee"],
+)
+def test_every_solver_stays_under_the_fee_ceiling(coop):
+    # the destination pays its decoding fee out of a harvest below p_max_dc
+    # (1e-9 W is the slack tolerance of that constraint).  Joint decoding
+    # (simultaneous, cooperative) pays phi(r1 + r2), so r1 + r2 <=
+    # phi^-1(p_max_dc).  SIC pays phi(r1) + phi(r2); for the convex Exp fee
+    # two equal messages are the cheapest split, so r1 + r2 <=
+    # 2 phi^-1(p_max_dc / 2), which lies above the joint ceiling
+    fee, budget = coop.cost_dest, coop.eh.p_max_dc + 1e-9
+    assert isinstance(fee, sm.ExpCost)
+    joint = fee.inverse(budget)
+    per_message = 2.0 * fee.inverse(budget / 2.0)
+    classical = classicalized(coop)
+    assert classical == iv_classical(fee)
+    sums = {
+        "sumrate_simultaneous": (sm.sumrate_simultaneous(classical).sum_rate, joint),
+        "mdrb_simultaneous": (
+            max(p.r1 + p.r2 for p in sm.mdrb_simultaneous(classical).points), joint
+        ),
+        "sic_sumrate_numeric": (sic_sumrate_numeric(classical).sum_rate, per_message),
+        "mdrb_sic": (max(p.r1 + p.r2 for p in sm.mdrb_sic(classical).points), per_message),
+    }
+    for mu1 in (0.0, 0.5, 1.0):
+        sol = coop_solve_general(coop, mu1, 1.0 - mu1, ScanConfig(31, 12))
+        sums[f"coop_solve_general mu1={mu1}"] = (sol.r1 + sol.r2, joint)
+    for name, (total, ceiling) in sums.items():
+        assert total <= ceiling, name
