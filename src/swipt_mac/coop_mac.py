@@ -457,7 +457,8 @@ def _tight_best(pair: _Pair, o, rho, pu2) -> dict:
         def residual(x, k):
             at = tab if k.size == i.size else tab[:, k]
             rho_k, pu2_k, lo_k, span_k = at[-4:]
-            return _tight_eval(_Rows(pair, at), rho_k, pu2_k, lo_k + span_k * x)["cost_res"]
+            ev = _tight_eval(_Rows(pair, at), rho_k, pu2_k, lo_k + span_k * x)
+            return ev["cost_res"]
 
         # rooted in t, not p12: pu1 can move |k| >> 1 times faster than p12,
         # while t tracks pu1 (affinely, for Exp user fees)

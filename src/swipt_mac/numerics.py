@@ -104,15 +104,18 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     return 0.5 * (lo + hi)
 
 
-def bracket_roots(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT, *, f_lo=None, f_hi=None):
+def bracket_roots(
+    f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT, *, f_lo=None, f_hi=None
+):
     """Roots of a batch of brackets at once, by Illinois regula falsi.
 
     ``f(x, idx)`` evaluates the batch elements ``idx`` (the elements still
-    active, in increasing order) at the points ``x``.  ``f_lo``/``f_hi``, when given, are the values of f at
-    ``lo``/``hi`` that the caller already holds; each one supplied saves a
-    pass of f.  As in bisect_root, each bracket needs f(lo)*f(hi) <= 0, and
-    an element is done at an exact zero or once its bracket is narrower
-    than cfg.abs_tol (the midpoint is returned).  Smooth brackets converge
+    active, in increasing order) at the points ``x``.  ``f_lo``/``f_hi``,
+    when given, are the values of f at ``lo``/``hi`` that the caller
+    already holds; each one supplied saves a pass of f.  As in
+    bisect_root, each bracket needs f(lo)*f(hi) <= 0, and an element is
+    done at an exact zero or once its bracket is narrower than
+    cfg.abs_tol (the midpoint is returned).  Smooth brackets converge
     superlinearly; a bracket that has not halved over three passes takes a
     bisection step, so every four passes at least halve it.  After
     cfg.max_iter passes the midpoints are returned.  Raises BracketError

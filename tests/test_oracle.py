@@ -105,13 +105,14 @@ def test_every_solver_stays_under_the_fee_ceiling(coop):
     per_message = 2.0 * fee.inverse(budget / 2.0)
     classical = classicalized(coop)
     assert classical == iv_classical(fee)
+    def widest(curve):
+        return max(p.r1 + p.r2 for p in curve.points)
+
     sums = {
         "sumrate_simultaneous": (sm.sumrate_simultaneous(classical).sum_rate, joint),
-        "mdrb_simultaneous": (
-            max(p.r1 + p.r2 for p in sm.mdrb_simultaneous(classical).points), joint
-        ),
+        "mdrb_simultaneous": (widest(sm.mdrb_simultaneous(classical)), joint),
         "sic_sumrate_numeric": (sic_sumrate_numeric(classical).sum_rate, per_message),
-        "mdrb_sic": (max(p.r1 + p.r2 for p in sm.mdrb_sic(classical).points), per_message),
+        "mdrb_sic": (widest(sm.mdrb_sic(classical)), per_message),
     }
     for mu1 in (0.0, 0.5, 1.0):
         sol = coop_solve_general(coop, mu1, 1.0 - mu1, ScanConfig(31, 12))
