@@ -412,10 +412,7 @@ def cmd_region(cfg: RunConfig, out_path: str | None) -> int:
         ts = np.linspace(0.0, 1.0, cfg.weight_count)
         weights = [(float(t), float(1.0 - t)) for t in ts]
         curve = coop_mdrb(cfg.coop, weights=weights, solver=cfg.solver, scan=cfg.scan)
-        tag = lambda m: (
-            f"mu1={_fmt(m.get('mu1', ''))};mu2={_fmt(m.get('mu2', ''))}"
-            + (";classical" if m.get("source") == "classical" else "")
-        )
+        tag = lambda m: f"mu1={_fmt(m.get('mu1', ''))};mu2={_fmt(m.get('mu2', ''))}"
     lines = [header]
     if not curve.points:
         lines.append(f"# empty: {curve.empty_reason or 'no feasible rate pair'}")

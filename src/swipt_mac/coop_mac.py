@@ -20,31 +20,39 @@ Weighted-rate solves:
   the regression tests).  The routine reproduces those formulas faithfully
   and its validity screen (all powers >= 0, rho in [0,1]) therefore rejects
   the result for every parameter set with mu1*mu2 > 0 and beta^2*b*c != 1.
-* ``coop_solve_general`` is the load-bearing numeric solver.  It
-  parametrises operating points by (rho, pu2, p12); the budget equalities
-  then give the rest explicitly for every fee family,
+* ``coop_solve_general`` is the load-bearing numeric solver.  More common
+  power only raises S, so an optimum spends both budgets, and the fresh
+  powers (p12, p21) fix everything else:
 
-      r1 = 1/2*log2(1+b*p12),   p21 = P_U2 - pu2 - phi2(r1),
-      r2 = 1/2*log2(1+c*p21),   pu1 = P_U1 - p12 - phi1(r2),
+      pu1 = P_U1 - p12 - phi1(r2),   pu2 = P_U2 - p21 - phi2(r1).
 
-  so both budgets are spent exactly.  Two branches compete: the box
-  maximum of the rho-free weighted rate J(p12, pu2), screened at the
-  minimal covering rho (the "interior" branch, optimal when the sum bound
-  is slack), and a search over (rho, pu2) slices with p12 rooted on the
-  destination-cost equality (the "balanced"/"cost-tight" branch).  Since
-  pu2 is gridded while p12 is rooted, the network is solved in both user
-  orientations, as given and with the users swapped, and the better one
-  wins.  Both orientations run as one lockstep search: every row of a
-  batch carries its orientation's constants, so each search step is one
-  numpy batch over the candidates of both; all slices are rooted at once
-  by ``bracket_roots``, and zoom grids run in lockstep across rows.
-  ``ScanConfig`` sets the rho grid and the rho zoom depth.
+  Raising either fresh power raises both rates and lowers pu1, pu2 and S
+  (every fee phi is non-decreasing).  The destination fee needs
+  rho >= rho_min = psi^-1(phi_d(r1+r2)) / (S+n), which rises in both
+  powers, and the sum MI bound needs rho <= rho_max =
+  1 - q*n_p/(S - q*n) with q = 2^(2(r1+r2)) - 1, which falls in both.  So
+  (p12, p21) is feasible iff pu1 >= 0, pu2 >= 0, rho_hi =
+  min(1, rho_max) >= 0 and psi(rho_hi*(S+n)) >= phi_d(r1+r2): a
+  closed-form test whose feasible set is downward closed.  The weighted
+  rate rises in both powers, so every optimum lies on the upper boundary
+  p21*(p12) of that set (monotonic optimisation: H. Tuy, "Monotonic
+  optimization: problems and solution approaches", SIAM J. Optim. 11(2),
+  2000).  The paper's joint optimal PS factor is then any rho in
+  [max(0, rho_min), rho_hi] at the optimal powers.
+
+  The solver traces that boundary: one bisection on the feasibility test
+  per p12 of a grid, then zoom grids in p12 around the best point, each
+  zoom point bracketed by its neighbours since p21* is non-increasing.
+  The trace runs in both user orientations, as given and with the users
+  swapped, so the boundary is met from both axes; the rows of both run as
+  one numpy batch, each with its own orientation's constants and fee
+  families, and the better orientation wins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,13 +67,7 @@ from .models import (
     SaturationError,
     cost_rate_cap,
 )
-from .numerics import (
-    RootConfig,
-    ScanConfig,
-    SingularMatrixError,
-    bracket_roots,
-    solve_2x2,
-)
+from .numerics import ScanConfig, SingularMatrixError, solve_2x2
 from .region import BoundaryCurve, upper_hull
 
 __all__ = [
@@ -79,21 +81,13 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_ROOT = RootConfig(abs_tol=1e-11, max_iter=150)
-_SEEDS = 9  # p12 seeds per slice that locate the cost-equality crossings
-_T = np.linspace(0.0, 1.0, _SEEDS)  # the seeds in the slice coordinate
-_GRID = 17  # coarse grid of every zoom search
-_ZOOM = 9  # points per zoom level; each level narrows the bracket 4x
-_FEAS = 1e-12  # pu1 and sum-MI tolerance of a feasible point
-
-
-def _zoom_levels(golden_iters: int) -> int:
-    """Zoom levels leaving a bracket no wider than golden_iters golden steps."""
-    return math.ceil(golden_iters * math.log((1.0 + 5.0 ** 0.5) / 2.0) / math.log(4.0))
-
-
-_PU2_LEVELS = _zoom_levels(28)
-_INTERIOR_LEVELS = _zoom_levels(40)
+_BITS = 46  # each bisection stops at a bracket of 2^-_BITS of its axis
+_P12_STEPS = 8  # p12 grid steps per ScanConfig grid step
+_ZOOM = np.linspace(-1.0, 1.0, 33)  # a zoom level: 16 points on each side
+# the constraints the answer can stop at, in the order _trace tests them,
+# and the CoopSolution.source each one maps to
+_SOURCE = {"budget1": "interior", "budget2": "interior", "fee": "cost-tight",
+           "sum-mi": "balanced", "fee+sum-mi": "balanced", "none": "interior"}
 
 
 class NonUniqueSolutionError(ValueError):
@@ -137,115 +131,23 @@ class CoopSolution:
 class _Ctx:
     """Per-solve constants of one user labelling."""
 
-    __slots__ = (
-        "p", "b", "c", "h1", "h2", "hh1", "hh2", "hh12", "n", "n_p",
-        "bud1", "bud2", "phi1", "phi2", "phid", "eh", "exp_cut",
-    )
-
     def __init__(self, params: CoopParams):
         self.p = params
-        self.b = params.b
-        self.c = params.c
-        self.h1 = params.h1
-        self.h2 = params.h2
+        self.b, self.c = params.b, params.c
         # the coefficients of _s_total, rounded as h1*h1*(...) would round
-        self.hh1 = self.h1 * self.h1
-        self.hh2 = self.h2 * self.h2
-        self.hh12 = 2.0 * self.h1 * self.h2
-        self.n = params.n
-        self.n_p = params.n_p
-        self.bud1 = params.p_u1_budget
-        self.bud2 = params.p_u2_budget
-        self.phi1 = params.cost_user1.eval
-        self.phi2 = params.cost_user2.eval
+        self.hh1, self.hh2 = params.h1 * params.h1, params.h2 * params.h2
+        self.hh12 = 2.0 * params.h1 * params.h2
+        self.n, self.n_p, self.eh = params.n, params.n_p, params.eh
+        self.bud1, self.bud2 = params.p_u1_budget, params.p_u2_budget
+        self.phi1, self.phi2 = params.cost_user1.eval, params.cost_user2.eval
         self.phid = params.cost_dest.eval
-        self.eh = params.eh
-        # Exp user fees make pu1 affine in p12: pu1 = bud1 - beta1*c*q2 - k*p12
-        u1, u2 = params.cost_user1, params.cost_user2
-        self.exp_cut = None
-        if isinstance(u1, ExpCost) and isinstance(u2, ExpCost):
-            self.exp_cut = (u1.beta, 1.0 - u1.beta * u2.beta * self.b * self.c)
-
-
-# rows of _Pair.table, one column per orientation
-_FIELDS = (
-    "b", "c", "hh1", "hh2", "hh12", "bud1", "bud2", "beta1", "k", "mu1", "mu2", "o",
-)
-
-
-class _Pair:
-    """Both user orientations of one solve: o = 0 is the network as given,
-    o = 1 the user-swapped network with the weights swapped too.
-
-    Each orientation keeps its own _Ctx, so derived constants (exp_cut's k
-    among them) round exactly as in a solve of that orientation alone;
-    ``table`` stacks them with the weights, one column per orientation.
-    The destination side (noises, harvester, fee) is the same in both.
-    """
-
-    def __init__(self, params: CoopParams, mu1: float, mu2: float):
-        self.ctx = (_Ctx(params), _Ctx(params.swapped()))
-        self.users = (params.cost_user1, params.cost_user2)
-        self.same_fees = params.cost_user1 == params.cost_user2
-        self.exp = self.ctx[0].exp_cut is not None  # both orientations alike
-        cols = []
-        for o, (ctx, mu) in enumerate(zip(self.ctx, ((mu1, mu2), (mu2, mu1)))):
-            beta1, k = ctx.exp_cut or (math.nan, math.nan)
-            cols.append([
-                ctx.b, ctx.c, ctx.hh1, ctx.hh2, ctx.hh12, ctx.bud1, ctx.bud2,
-                beta1, k, mu[0], mu[1], float(o),
-            ])
-        self.table = np.array(cols).T
-
-    def rows(self, o) -> "_Rows":
-        """Constants at the orientation ids o (an int array of any shape)."""
-        return _Rows(self, self.table[:, o])
-
-
-class _Rows:
-    """Constants of a batch of rows, each in its own orientation: the
-    attributes of _Ctx (plus the weights) as arrays shaped like the rows.
-    ``tab`` holds them stacked in _FIELDS order; rows past those are
-    ignored."""
-
-    __slots__ = ("pair", "tab", "n", "n_p", "eh", "phid") + _FIELDS
-
-    def __init__(self, pair: _Pair, tab):
-        self.pair, self.tab = pair, tab
-        ctx = pair.ctx[0]
-        self.n, self.n_p, self.eh, self.phid = ctx.n, ctx.n_p, ctx.eh, ctx.phid
-        (
-            self.b, self.c, self.hh1, self.hh2, self.hh12, self.bud1, self.bud2,
-            self.beta1, self.k, self.mu1, self.mu2, self.o,
-        ) = tab[:len(_FIELDS)]
-
-    def take(self, idx) -> "_Rows":
-        return _Rows(self.pair, self.tab[:, idx])
-
-    def col(self) -> "_Rows":
-        """The same rows as a column, to broadcast against points per row."""
-        return _Rows(self.pair, self.tab[..., None])
-
-    def fee_of(self, user: int, fn):
-        """fn(fee model) of user 1 (user=0) or 2 (user=1) of each row's
-        orientation; the swapped orientation exchanges the two models."""
-        models = self.pair.users
-        if self.pair.same_fees:
-            return fn(models[0])
-        return np.where(self.o == 0.0, fn(models[user]), fn(models[1 - user]))
-
-    def phi1(self, r):
-        return self.fee_of(0, lambda m: m.eval(r))
-
-    def phi2(self, r):
-        return self.fee_of(1, lambda m: m.eval(r))
 
 
 def _rate(x):
     return np.log1p(x) / (2.0 * _LOG2)
 
 
-def _s_total(ctx: _Ctx | _Rows, p12, p21, pu1, pu2):
+def _s_total(ctx, p12, p21, pu1, pu2):
     return (
         ctx.hh1 * (p12 + pu1)
         + ctx.hh2 * (p21 + pu2)
@@ -253,410 +155,252 @@ def _s_total(ctx: _Ctx | _Rows, p12, p21, pu1, pu2):
     )
 
 
-def _mi_sum(ctx: _Ctx | _Rows, rho, s):
+def _mi_sum(ctx, rho, s):
     y = 1.0 - rho
     return 0.5 * np.log2(1.0 + y * s / (y * ctx.n + ctx.n_p))
 
 
-def _alloc(ctx: _Ctx | _Rows, pu2, p12):
-    """Budget elimination at (pu2, p12), arrays broadcast.  pu1 may come
-    out negative (infeasible); p21 is clipped at 0 against roundoff, the
-    p12 span keeps it non-negative otherwise."""
-    r1 = _rate(ctx.b * p12)
-    p21 = np.maximum(ctx.bud2 - pu2 - ctx.phi2(r1), 0.0)
-    r2 = _rate(ctx.c * p21)
-    pu1 = ctx.bud1 - p12 - ctx.phi1(r2)
-    return {"p12": p12, "p21": p21, "pu1": pu1, "pu2": pu2, "r1": r1, "r2": r2}
+_CONSTS = ("b", "c", "hh1", "hh2", "hh12", "bud1", "bud2")
 
 
-def _tight_eval(ctx: _Ctx | _Rows, rho, pu2, p12):
-    """_alloc plus the coherent power s and the destination-cost residual."""
-    ev = _alloc(ctx, pu2, p12)
-    ev["s"] = _s_total(ctx, p12, ev["p21"], np.maximum(ev["pu1"], 0.0), pu2)
-    ev["rho"] = rho
-    ev["cost_res"] = ctx.eh.eval(rho * (ev["s"] + ctx.n)) - ctx.phid(ev["r1"] + ev["r2"])
-    return ev
+class _Batch:
+    """Rows of a trace, each in one user orientation: rows [0, split) are
+    the network as given, rows [split, R) the user-swapped one.  The
+    constants of _CONSTS are (R, 1) columns, so points lie along axis 1;
+    each row is charged its own orientation's fee families."""
+
+    def __init__(self, ctxs, orient):
+        self.split = int(np.count_nonzero(orient == 0))
+        for name in _CONSTS:
+            col = np.array([getattr(ctxs[o], name) for o in orient])
+            setattr(self, name, col[:, None])
+        dest = ctxs[0]  # the destination side is the same in both
+        self.n, self.n_p, self.eh, self.phid = dest.n, dest.n_p, dest.eh, dest.phid
+        (a1, a2), (b1, b2) = ((ctx.p.cost_user1, ctx.p.cost_user2) for ctx in ctxs)
+        self.phi1, self.phi2 = self._per_row(a1, b1), self._per_row(a2, b2)
+
+    def _per_row(self, a, b):
+        """Fee a on rows [0, split), fee b on the rest."""
+        if a == b:
+            return a.eval
+        split = self.split
+        return lambda r: np.concatenate([a.eval(r[:split]), b.eval(r[split:])])
 
 
-def _p12_span(rows: _Rows, pu2):
-    """p12 range of each pu2 slice; hi < lo marks an empty slice.
+def _test(bt: _Batch, p12, p21, pre=None, parts=False) -> dict:
+    """The closed-form feasibility test at the points (p12, p21).
 
-    p21 >= 0 caps r1 at phi2^-1(q2) for every fee family.  With Exp user
-    fees pu1 >= 0 is an affine cut as well; other families are screened
-    point by point.
+    pre = (r1, phi2(r1)) saves their evaluation when p12 is fixed.
+    rec["ok"] is the verdict; parts=True adds each constraint's own.
     """
-    q2 = rows.bud2 - pu2
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r_cap = rows.fee_of(1, lambda m: cost_rate_cap(m, q2, np.inf))
-        hi = np.minimum(rows.bud1, np.expm1(2.0 * _LOG2 * r_cap) / rows.b)
-        lo = np.zeros_like(hi)
-        if rows.pair.exp:
-            k = rows.k
-            a = rows.bud1 - rows.beta1 * rows.c * q2
-            cut = a / k
-            hi = np.where(k > 0.0, np.minimum(hi, cut), hi)
-            lo = np.where(k < 0.0, np.maximum(lo, cut), lo)  # the cut floors p12
-            hi = np.where((k == 0.0) & ~(a >= 0.0), -1.0, hi)
-    return lo, hi
-
-
-def _covering_rho(ctx: _Ctx, fee: float, s: float):
-    """Smallest rho whose harvest covers the destination fee, or None."""
-    if fee <= 0.0:
-        return 0.0
-    try:
-        p_req = ctx.eh.inverse(fee)
-    except (SaturationError, NoInverseError):
-        return None
-    tot = s + ctx.n
-    if tot <= 0.0:
-        return None
-    rho = p_req / tot
-    if rho > 1.0 + 1e-12:
-        return None
-    return min(rho, 1.0)
-
-
-def _take(rec: dict, idx) -> dict:
-    return {k: v[idx] for k, v in rec.items()}
-
-
-def _scalar(rec: dict) -> dict:
-    return {k: float(v) for k, v in rec.items()}
-
-
-def _row_best(rec: dict, x) -> dict:
-    """Per-row argmax of rec["J"] over the last axis, with x recorded."""
+    r1, fee2 = pre or (_rate(bt.b * p12), bt.phi2(_rate(bt.b * p12)))
+    r2 = _rate(bt.c * p21)
+    pu1 = bt.bud1 - p12 - bt.phi1(r2)
+    pu2 = bt.bud2 - p21 - fee2
+    s = _s_total(bt, p12, p21, np.maximum(pu1, 0.0), np.maximum(pu2, 0.0))
+    r = r1 + r2
+    q = np.expm1(2.0 * _LOG2 * r)
+    d = s - q * bt.n
+    mi = q * bt.n_p <= d  # the sum MI bound holds at rho = 0
+    rho_hi = np.where(mi, 1.0 - q * bt.n_p / np.where(mi & (d > 0.0), d, 1.0), 0.0)
+    fee = bt.phid(r)
+    joint = bt.eh.eval(rho_hi * (s + bt.n)) >= fee
     rec = {
-        k: v if np.shape(v) == x.shape else np.broadcast_to(v, x.shape)
-        for k, v in rec.items()
+        "ok": (pu1 >= 0.0) & (pu2 >= 0.0) & mi & joint,
+        "r1": r1, "r2": r2, "pu1": pu1, "pu2": pu2, "s": s, "rho_hi": rho_hi,
     }
-    rec["x"] = x
-    col = np.argmax(rec["J"], axis=1)
-    return _take(rec, (np.arange(x.shape[0]), col))
+    if parts:  # keyed by _SOURCE; "fee" at rho = 1, the MI bound aside
+        rec.update({
+            "budget1": pu1 >= 0.0, "budget2": pu2 >= 0.0, "sum-mi": mi,
+            "fee": bt.eh.eval(s + bt.n) >= fee, "fee+sum-mi": joint,
+        })
+    return rec
 
 
-def _zoom_rows(evaluate, lo, hi, levels: int) -> dict:
-    """Row-wise grid maximisation on [lo_r, hi_r], all rows in lockstep.
+def _bisect(bt: _Batch, p12, lo, hi, tol):
+    """Boundary p21*(p12) at every point: bisects the feasibility test on
+    [lo, hi] until hi - lo <= tol, lo feasible throughout and hi
+    infeasible (or p21* itself).  Each point stops on its own, so its
+    result does not depend on the rest of the batch.  Returns lo, hi and
+    the number of test batches run."""
+    r1 = _rate(bt.b * p12)
+    pre = r1, bt.phi2(r1)
+    passes = 0
+    act = hi - lo > tol
+    while act.any():
+        mid = 0.5 * (lo + hi)
+        ok = _test(bt, p12, mid, pre)["ok"]
+        lo = np.where(act & ok, mid, lo)
+        hi = np.where(act & ~ok, mid, hi)
+        act = hi - lo > tol
+        passes += 1
+    return lo, hi, passes
 
-    evaluate(x, rows) returns a record of arrays shaped like x (points of
-    the given rows) whose "J" is -inf where infeasible.  A coarse _GRID
-    grid is followed by `levels` levels of _ZOOM points centred on each
-    row's incumbent.  Rows without a finite coarse sample are dropped.
-    Returns the best record of every row; the result is never worse than
-    the row's best coarse sample.
+
+def _neighbours(x, lo, hi, J):
+    """Each row's best point (column 1) and its left and right neighbours
+    (columns 0 and 2; the point itself at an end), as (x, lo, hi)."""
+    best = np.argmax(J, axis=1)
+    cols = np.stack([np.maximum(best - 1, 0), best, np.minimum(best + 1, J.shape[1] - 1)], 1)
+    rows = np.arange(J.shape[0])[:, None]
+    return x[rows, cols], lo[rows, cols], hi[rows, cols]
+
+
+def _zoom_points(nb):
+    """A zoom level's points and brackets from each row's neighbours.
+
+    The points split the two cells around the incumbent 16 ways each.
+    Since p21* is non-increasing, a point left of the incumbent lies in
+    [lo of the incumbent, hi of the left neighbour], and one right of it
+    in [lo of the right neighbour, hi of the incumbent]; the old points
+    keep their own brackets.
     """
-    x = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _GRID)
-    rows = np.arange(lo.size)
-    best = _row_best(evaluate(x, rows), x)
-    h = (hi - lo) / (_GRID - 1)
-    rows = np.nonzero(np.isfinite(best["J"]))[0]
-    offsets = np.linspace(-1.0, 1.0, _ZOOM)
-    for _ in range(levels):
-        if rows.size == 0:
-            break
-        x = np.clip(
-            best["x"][rows, None] + h[rows, None] * offsets,
-            lo[rows, None],
-            hi[rows, None],
-        )
-        new = _row_best(evaluate(x, rows), x)
-        up = new["J"] > best["J"][rows]
-        for k, v in best.items():
-            v[rows[up]] = new[k][up]
-        h = h / 4.0
-    return best
-
-
-# ---------------------------------------------------------------------------
-# general solver branches
-# ---------------------------------------------------------------------------
-
-
-def _interior_candidates(pair: _Pair) -> list:
-    """Box maximum of the rho-free weighted rate in each orientation,
-    screened against the destination constraints at the minimal covering
-    rho.
-
-    J(p12, pu2) is maximised by a nested zoom, one outer row per
-    orientation: pu2 outer, p12 inner on each slice's span.  An
-    orientation's candidate is None when the destination cannot cover the
-    resulting fee or the sum MI bound fails at the covering rho.
-    """
-
-    def over_p12(pu2, rows):
-        flat = pu2.ravel()
-        cons = pair.rows(np.broadcast_to(rows[:, None], pu2.shape).ravel())
-        lo, hi = _p12_span(cons, flat)
-        empty = hi < lo
-
-        def j_at(p12, sub):
-            at = cons.take(sub).col()
-            ev = _alloc(at, flat[sub, None], p12)
-            ok = (ev["pu1"] >= -_FEAS) & ~empty[sub, None]
-            ev["J"] = np.where(ok, at.mu1 * ev["r1"] + at.mu2 * ev["r2"], -np.inf)
-            return ev
-
-        rec = _zoom_rows(j_at, lo, np.maximum(hi, lo), _INTERIOR_LEVELS)
-        return {k: v.reshape(pu2.shape) for k, v in rec.items() if k != "x"}
-
-    bud2 = np.array([ctx.bud2 for ctx in pair.ctx])
-    rec = _zoom_rows(over_p12, np.zeros(2), bud2, _INTERIOR_LEVELS)
-    return [
-        _covered(ctx, _scalar(_take(rec, o))) if np.isfinite(rec["J"][o]) else None
-        for o, ctx in enumerate(pair.ctx)
-    ]
-
-
-def _covered(ctx: _Ctx, cand: dict):
-    """An interior candidate at its minimal covering rho, or None when the
-    fee is uncoverable or the sum bound binds (the balanced branch owns
-    that case)."""
-    cand["pu1"] = max(cand["pu1"], 0.0)
-    r_sum = cand["r1"] + cand["r2"]
-    s = float(_s_total(ctx, cand["p12"], cand["p21"], cand["pu1"], cand["pu2"]))
-    rho = _covering_rho(ctx, ctx.phid(r_sum), s)
-    if rho is None or _mi_sum(ctx, rho, s) < r_sum - 1e-12:
-        return None
-    cand.update(rho=rho, source="interior")
-    return cand
-
-
-# the record of a cost-tight point (besides "J")
-_TIGHT_KEYS = ("p12", "p21", "pu1", "pu2", "r1", "r2", "rho", "mi_res")
-
-
-def _tight_best(pair: _Pair, o, rho, pu2) -> dict:
-    """Best destination-cost-tight point inside the sum MI bound on each
-    (rho, pu2) slice; row r of pu2 holds pu2 values at orientation o[r]
-    and rho[r].  "J" is -inf where there is none.
-
-    _SEEDS seeds across each slice's p12 span mark the sign changes of
-    the cost residual, bracket_roots roots all of them at once from the
-    seed values, and each slice keeps its best feasible root.
-    """
-    shape = pu2.shape
-    o, rho = np.repeat(o, shape[1]), np.repeat(rho, shape[1])
-    pu2 = pu2.ravel()
-    cons = pair.rows(o)
-    lo, hi = _p12_span(cons, pu2)
-    span = np.maximum(hi - lo, 0.0)
-    ev = _tight_eval(
-        cons.col(), rho[:, None], pu2[:, None], lo[:, None] + span[:, None] * _T
+    (xl, xm, xr), (ll, lm, lr), (hl, hm, hr) = (
+        (v[:, :1], v[:, 1:2], v[:, 2:]) for v in nb
     )
-    ok = (ev["pu1"] >= -_FEAS) & (hi >= lo)[:, None]
-    f = ev["cost_res"]
-    pairs = ok[:, :-1] & ok[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0.0)
-    i, j = np.nonzero(pairs)
-    # per bracket: its slice's constants, then rho, pu2, lo and span
-    tab = np.concatenate([cons.tab[:, i], [rho[i], pu2[i], lo[i], span[i]]])
-    rec = np.full((len(_TIGHT_KEYS), i.size + 1), np.nan)  # NaN column: no root
-    J = np.full(pairs.shape, -np.inf)
-    if i.size:
+    u = _ZOOM
+    x = np.where(u < 0.0, xm + (xm - xl) * u, xm + (xr - xm) * u)
+    x = np.where(u == -1.0, xl, np.where(u == 1.0, xr, x))
+    lo = np.where(u < 0.0, lm, lr)
+    lo = np.where(u == -1.0, ll, np.where(u == 0.0, lm, lo))
+    hi = np.where(u > 0.0, hm, hl)
+    hi = np.where(u == 1.0, hr, np.where(u == 0.0, hm, hi))
+    return x, lo, hi
 
-        def residual(x, k):
-            at = tab if k.size == i.size else tab[:, k]
-            rho_k, pu2_k, lo_k, span_k = at[-4:]
-            ev = _tight_eval(_Rows(pair, at), rho_k, pu2_k, lo_k + span_k * x)
-            return ev["cost_res"]
 
-        # rooted in t, not p12: pu1 can move |k| >> 1 times faster than p12,
-        # while t tracks pu1 (affinely, for Exp user fees)
-        t_root = bracket_roots(
-            residual, _T[j], _T[j + 1], _ROOT, f_lo=f[i, j], f_hi=f[i, j + 1]
+def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
+    """Best boundary point of each weight pair (rows of `weights`) in both
+    orientations, as candidate records of the network as given."""
+    ctxs = (_Ctx(params), _Ctx(params.swapped()))
+    both = _Batch(ctxs, np.array([0, 1]))
+    passes = 0
+
+    # the axes: p21* at p12 = 0 in each orientation, capped by the budgets;
+    # orientation o's p12 axis ends where orientation 1-o's p21 axis does
+    with np.errstate(over="ignore"):
+        r_cap = np.array([cost_rate_cap(ctx.p.cost_user1, ctx.bud1, np.inf) for ctx in ctxs])
+        cap = np.minimum(both.bud2[:, 0], np.expm1(2.0 * _LOG2 * r_cap) / both.c[:, 0])
+    cap = cap[:, None]
+    zero = np.zeros_like(cap)
+    p21_end, _, k = _bisect(both, zero, zero, cap, cap * 2.0 ** -_BITS)
+    passes += k
+    p12_end = p21_end[::-1]
+
+    # the grid: p21*(p12) at every p12 step of both orientations
+    x = p12_end * np.linspace(0.0, 1.0, _P12_STEPS * (scan.grid_points - 1) + 1)
+    tol = p21_end * 2.0 ** -_BITS
+    lo = np.zeros_like(x)
+    lo[:, :1] = p21_end  # p21*(0) is the axis end
+    lo, hi, k = _bisect(both, x, lo, np.broadcast_to(p21_end, x.shape), tol)
+    passes += k
+
+    # every weight pair of both orientations is a row from here on
+    n_w = weights.shape[0]
+    orient = np.repeat([0, 1], n_w)
+    mu = np.concatenate([weights, weights[:, ::-1]])[:, :, None]
+    bt = _Batch(ctxs, orient)
+    r1, r2 = _rate(both.b * x), _rate(both.c * lo)
+    J = mu[:, 0] * r1[orient] + mu[:, 1] * r2[orient]
+    nb = _neighbours(x[orient], lo[orient], hi[orient], J)
+    tol = tol[orient]
+    for _ in range(max(1, scan.refine_iters // 2)):
+        x, lo, hi = _zoom_points(nb)
+        lo, hi, k = _bisect(bt, x, lo, hi, tol)
+        passes += k
+        J = mu[:, 0] * _rate(bt.b * x) + mu[:, 1] * _rate(bt.c * lo)
+        nb = _neighbours(x, lo, hi, J)
+
+    # the answer of each row, and the tests a step of 2^-30 of both axes
+    # outside it
+    x, p21 = nb[0][:, 1:2], nb[1][:, 1:2]
+    rec = _test(bt, x, p21)
+    step = 2.0 ** -30
+    out = _test(bt, x + p12_end[orient] * step, p21 + p21_end[orient] * step, parts=True)
+    passes += 2
+    J = mu[:, 0] * rec["r1"] + mu[:, 1] * rec["r2"]
+
+    def rank(row):  # an exact tie in J goes to the larger point in own labels
+        return J[row, 0], x[row, 0], p21[row, 0]
+
+    found = []
+    for w in range(n_w):
+        o = int(rank(n_w + w) > rank(w))  # 1: the swapped orientation wins
+        row = o * n_w + w
+        cand = {k: float(v[row, 0]) for k, v in rec.items() if k != "ok"}
+        cand.update(p12=float(x[row, 0]), p21=float(p21[row, 0]))
+        cand["rho"] = _rho(ctxs[o], cand)
+        # the first constraint that fails just outside the answer
+        binding = next((k for k in _SOURCE if k != "none" and not out[k][row, 0]), "none")
+        cand["source"] = (
+            "zero" if cand["p12"] == cand["p21"] == 0.0 else _SOURCE[binding]
         )
-        at = _Rows(pair, tab)
-        ev = _tight_eval(at, rho[i], pu2[i], lo[i] + span[i] * t_root)
-        r_sum = ev["r1"] + ev["r2"]
-        ev["mi_res"] = _mi_sum(at, rho[i], ev["s"]) - r_sum
-        ok = (ev["pu1"] >= -_FEAS) & (ev["mi_res"] >= -_FEAS)
-        J[i, j] = np.where(ok, at.mu1 * ev["r1"] + at.mu2 * ev["r2"], -np.inf)
-        for row, key in zip(rec, _TIGHT_KEYS):
-            row[:-1] = ev[key]
-    # each slice's best root
-    col = np.argmax(J, axis=1)
-    pick = np.full(pairs.shape, i.size)
-    pick[i, j] = np.arange(i.size)
-    slices = np.arange(col.size)
-    best = dict(zip(_TIGHT_KEYS, rec[:, pick[slices, col]].reshape(-1, *shape)))
-    best["J"] = J[slices, col].reshape(shape)
-    return best
-
-
-def _pu2_floor(ctx: _Ctx, rho):
-    """The rho values where positive rates are coverable, and the floor
-    bud2 - 1.02*q2_cap of the global pu2 window at each.
-
-    q2_cap is the largest q2 = bud2 - pu2 any feasible point at the rho can
-    spend.  Necessary cap, not an estimate: both rates are limited by the
-    sum MI bound at the maximal receive power and by the fee the maximal
-    harvest can cover, and q2 buys p21 plus user 2's decode fee, both
-    increasing in those rates.  Large decode-cost slopes push all
-    positive-rate points into a thin band of small q2; without this cap a
-    uniform pu2 grid steps straight over that band.
-    """
-    rt = ctx.h1 * math.sqrt(ctx.bud1) + ctx.h2 * math.sqrt(ctx.bud2)
-    s_max = rt * rt
-    r_cap = cost_rate_cap(
-        ctx.p.cost_dest, ctx.eh.eval(rho * (s_max + ctx.n)), _mi_sum(ctx, rho, s_max)
-    )
-    r_cap = np.maximum(r_cap, 0.0)
-    cap = np.expm1(2.0 * _LOG2 * r_cap) / ctx.c + ctx.phi2(r_cap)
-    live = cap > 0.0  # elsewhere only zero rates are coverable
-    return rho[live], np.maximum(0.0, ctx.bud2 - 1.02 * cap[live])
-
-
-def _pu2_search(pair: _Pair, blocks: list) -> list:
-    """Best cost-tight point over pu2 in [lo_r, hi_r] at each rho_r, for
-    the row blocks (o, rho, lo, hi) of orientations o at once.
-
-    All rows share one lockstep zoom.  Returns each block's best record,
-    or None where the block holds no feasible point.
-    """
-    o = np.concatenate([np.full(blk[1].size, blk[0]) for blk in blocks])
-    rho, lo, hi = (np.concatenate(v) for v in list(zip(*blocks))[1:])
-    best = _zoom_rows(
-        lambda x, rows: _tight_best(pair, o[rows], rho[rows], x),
-        lo,
-        hi,
-        _PU2_LEVELS,
-    )
-    out, start = [], 0
-    for blk in blocks:
-        stop = start + blk[1].size
-        i = start + int(np.argmax(best["J"][start:stop]))
-        out.append(_scalar(_take(best, i)) if np.isfinite(best["J"][i]) else None)
-        start = stop
-    return out
-
-
-def _balanced_search(ctx: _Ctx, scan: ScanConfig):
-    """Best cost-tight candidate over (rho, pu2) of one orientation, or
-    None.
-
-    A generator: it yields the (rho, lo, hi) rows of each pu2 search it
-    needs, is sent their best record (None when they hold no feasible
-    point), and returns its candidate.  _balanced_candidates runs both
-    orientations in lockstep, one _pu2_search per step.
-
-    Stage 1 grids rho at scan.grid_points values and searches pu2 at each
-    over [_pu2_floor(rho), bud2].  Stage 2 zooms rho around the
-    incumbent for _zoom_levels(scan.refine_iters) levels.  Each level also
-    searches a local pu2 window around the incumbent, halved every level:
-    the optimum can sit where the feasible pu2 band at a rho narrows to a
-    sliver that the global grid steps over.  A new best on the edge of the
-    rho bracket does not count as a level: the bracket moves there with
-    its step doubled (at most as many such moves as levels), since the
-    value can rise in rho up to a cliff further away than the zoom reaches.
-    """
-    rho, lo = _pu2_floor(ctx, np.linspace(0.0, 1.0, scan.grid_points))
-    if not rho.size:
-        return None
-    inc = yield rho, lo, np.full(rho.size, ctx.bud2)
-    if inc is None:
-        return None
-    h_rho = 1.0 / (scan.grid_points - 1)
-    w = ctx.bud2 / 16.0
-    offsets = np.linspace(-1.0, 1.0, _ZOOM)
-    levels = walks = _zoom_levels(scan.refine_iters)
-    while levels > 0:
-        rho = np.clip(inc["rho"] + h_rho * offsets, 0.0, 1.0)
-        g_rho, g_lo = _pu2_floor(ctx, rho)
-        best = yield (  # global windows, then the local ones
-            np.concatenate([g_rho, rho]),
-            np.concatenate([g_lo, np.full(rho.size, max(0.0, inc["pu2"] - w))]),
-            np.concatenate([
-                np.full(g_rho.size, ctx.bud2),
-                np.full(rho.size, min(ctx.bud2, inc["pu2"] + w)),
-            ]),
-        )
-        if best is not None and best["J"] > inc["J"]:
-            inc = best
-            if walks and inc["rho"] in (rho[0], rho[-1]) and 0.0 < inc["rho"] < 1.0:
-                walks -= 1  # see docstring: move on at twice the step
-                h_rho *= 2.0
-                continue
-        levels -= 1
-        h_rho /= 4.0
-        w /= 2.0
-    inc["pu1"] = max(inc["pu1"], 0.0)
-    inc["source"] = "balanced" if abs(inc["mi_res"]) < 1e-6 else "cost-tight"
-    return inc
-
-
-def _balanced_candidates(pair: _Pair, scan: ScanConfig) -> list:
-    """_balanced_search of both orientations in lockstep: each step merges
-    the row blocks of the searches still running into one _pu2_search."""
-    found = [None, None]
-    running = {}
-
-    def advance(o, search, best):
-        try:
-            running[o] = (search, search.send(best))
-        except StopIteration as stop:
-            found[o] = stop.value
-            running.pop(o, None)
-
-    for o, ctx in enumerate(pair.ctx):
-        advance(o, _balanced_search(ctx, scan), None)
-    while running:
-        step = list(running.items())
-        bests = _pu2_search(pair, [(o, *rows) for o, (_, rows) in step])
-        for (o, (search, _)), best in zip(step, bests):
-            advance(o, search, best)
+        cand["notes"] = {
+            "binding": binding,
+            "passes": passes,
+            "mirrored": bool(o),
+            "rho_interval": (cand["rho"], cand["rho_hi"]),
+        }
+        found.append(_swap_candidate(cand) if o else cand)
     return found
 
 
-def _build_solution(ctx: _Ctx, mu1, mu2, cand, extra_notes=None) -> CoopSolution:
-    p12, p21 = cand["p12"], cand["p21"]
-    pu1, pu2 = cand["pu1"], cand["pu2"]
-    rho = cand["rho"]
-    r1, r2 = cand["r1"], cand["r2"]
-    s = float(_s_total(ctx, p12, p21, pu1, pu2))
-    residuals = {
-        "budget1_w": ctx.bud1 - (p12 + pu1 + ctx.phi1(r2)),
-        "budget2_w": ctx.bud2 - (p21 + pu2 + ctx.phi2(r1)),
-        "dest_cost_w": ctx.eh.eval(max(rho, 0.0) * (s + ctx.n)) - ctx.phid(r1 + r2),
-        "sum_mi_bits": float(_mi_sum(ctx, rho, s)) - (r1 + r2)
-        if 0.0 <= rho <= 1.0
-        else math.nan,
-    }
-    valid = min(p12, p21, pu1, pu2) >= -1e-9 and -1e-12 <= rho <= 1.0 + 1e-12
-    sum_ok = residuals["sum_mi_bits"] >= -1e-9  # False for NaN
-    notes = dict(extra_notes or {})
+def _rho(ctx: _Ctx, cand: dict) -> float:
+    """The low end max(0, rho_min) of the optimal PS-factor interval, where
+    the harvest covers the destination fee exactly; held at or below
+    rho_hi against roundoff."""
+    rho_hi = cand["rho_hi"]
+    fee = ctx.phid(cand["r1"] + cand["r2"])
+    try:
+        rho_lo = ctx.eh.inverse(fee) / (cand["s"] + ctx.n) if fee > 0.0 else 0.0
+    except (SaturationError, NoInverseError):  # roundoff at a saturated fee
+        rho_lo = rho_hi
+    return min(max(rho_lo, 0.0), rho_hi)
+
+
+def _build_solution(params, mu1, mu2, cand, notes) -> CoopSolution:
+    alloc = PowerAllocation(cand["p12"], cand["p21"], cand["pu1"], cand["pu2"])
+    rho, r1, r2 = cand["rho"], cand["r1"], cand["r2"]
+    slacks = coop_constraints_eval(params, alloc, rho, r1, r2)
     return CoopSolution(
-        alloc=PowerAllocation(p12=p12, p21=p21, pu1=pu1, pu2=pu2),
+        alloc=alloc,
         rho=rho,
         r1=r1,
         r2=r2,
         weighted_rate=mu1 * r1 + mu2 * r2,
         mu1=mu1,
         mu2=mu2,
-        constraint_residuals=residuals,
-        cooperation_valid=valid,
-        sum_bound_satisfied=sum_ok,
-        source=cand.get("source", "general"),
+        constraint_residuals={
+            k: slacks[k] for k in ("budget1_w", "budget2_w", "dest_cost_w", "sum_mi_bits")
+        },
+        cooperation_valid=alloc.min_power() >= -1e-9 and 0.0 <= rho <= 1.0,
+        sum_bound_satisfied=slacks["sum_mi_bits"] >= -1e-9,
+        source=cand["source"],
         notes=notes,
     )
 
 
-def _pick(ctx: _Ctx, found) -> tuple:
-    """Best candidate of one orientation: interior branch, balanced branch,
-    and the all-common backstop (zero rates, always feasible)."""
-    cands = [cc for cc in found if cc is not None] or [{
-        "J": 0.0, "p12": 0.0, "p21": 0.0, "pu1": ctx.bud1, "pu2": ctx.bud2,
-        "r1": 0.0, "r2": 0.0, "rho": 0.0, "source": "zero",
-    }]
-    cand = max(cands, key=lambda cc: cc["J"])
-    return cand, sorted(cc["source"] for cc in cands)
+_SWAP = {"p12": "p21", "p21": "p12", "pu1": "pu2", "pu2": "pu1", "r1": "r2", "r2": "r1"}
 
 
 def _swap_candidate(cand: dict) -> dict:
-    out = dict(cand)
-    out["p12"], out["p21"] = cand["p21"], cand["p12"]
-    out["pu1"], out["pu2"] = cand["pu2"], cand["pu1"]
-    out["r1"], out["r2"] = cand["r2"], cand["r1"]
-    return out
+    return {_SWAP.get(k, k): v for k, v in cand.items()}
+
+
+def _check_weights(mu1, mu2):
+    if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
+        raise ValueError("weights must be non-negative and not both zero")
+
+
+def _solve(params: CoopParams, weights: list, scan: ScanConfig | None) -> list:
+    """coop_solve_general at every weight pair, from one boundary trace."""
+    for mu1, mu2 in weights:
+        _check_weights(mu1, mu2)
+    scan = scan or ScanConfig(grid_points=61, refine_iters=24)
+    found = _trace(params, np.array(weights, dtype=float).reshape(-1, 2), scan)
+    return [
+        _build_solution(params, mu1, mu2, cand, cand.pop("notes"))
+        for (mu1, mu2), cand in zip(weights, found)
+    ]
 
 
 def coop_solve_general(
@@ -664,62 +408,33 @@ def coop_solve_general(
 ) -> CoopSolution:
     """Numeric weighted-sum-rate solve for any EH/cost combination.
 
-    Operating points are parametrised by (rho, pu2, p12), and the budget
-    equalities give p21 and pu1 explicitly (see module docstring), so both
-    budgets are spent exactly for every fee family.  Two branches compete:
+    Traces the upper boundary p21*(p12) of the feasible fresh powers (see
+    module docstring); both budgets are spent exactly.
 
-    * interior: the box maximum of the rho-free J(p12, pu2) by a nested
-      zoom, kept when the minimal covering rho also satisfies the sum MI
-      bound;
-    * balanced: p12 rooted on the destination-cost equality on batches of
-      (rho, pu2) slices at once, the best root inside the sum MI bound
-      kept, and the best slice searched by lockstep zoom grids.
+    * The axis ends: p21* at p12 = 0 by bisection in each user
+      orientation; one orientation's p21 axis is the other's p12 axis.
+    * The grid: p21*(p12) by bisection at 8*(scan.grid_points-1)+1 evenly
+      spaced p12 values, each bracket narrowed to 2^-46 of the p21 axis.
+    * The zoom: scan.refine_iters // 2 levels (at least one), each
+      splitting the two p12 cells around the incumbent 16 ways and
+      bisecting every new point inside the bracket its neighbours give.
 
-    ``scan.grid_points`` is the size of the stage-1 rho grid and
-    ``scan.refine_iters`` sets the number of stage-2 rho zoom levels (9
-    points each, 4x narrower per level), chosen so the last rho bracket is
-    no wider than refine_iters golden-section steps would leave; an
-    incumbent on the bracket edge moves the bracket instead.  The
-    all-common allocation (zero rates) backstops both branches, so a
-    solution always exists.
+    The returned rho is the low end of the optimal PS-factor interval
+    [max(0, rho_min), rho_hi] (notes["rho_interval"]), where the harvest
+    covers the fee exactly.  notes["binding"] names the first of budget1,
+    budget2, fee (not coverable even at rho = 1), sum-mi (the MI bound
+    fails even at rho = 0) and fee+sum-mi (the interval closes) that fails
+    a step of 2^-30 of both axes outside the answer, or none.  source maps
+    it to the branch names of earlier solvers: interior for a budget or
+    none, cost-tight for fee, balanced for sum-mi and fee+sum-mi, and zero
+    for the all-common allocation.  notes["passes"] counts the batches of
+    the feasibility test.
 
-    pu2 is gridded while p12 is rooted exactly, so the grid favours one
-    user.  The network is therefore solved in both user orientations, as
-    given and user-swapped (weights swapped too), and the better one wins
-    (notes["mirrored"]; notes["branches"] lists the winner's branches).
-    That keeps the solver exactly symmetric under a user swap and restores
-    accuracy at extreme weights.  The two orientations run as one search:
-    each batch holds the rows of both, every row with its own
-    orientation's constants and fee families, and in the stage-2 rho zoom
-    each orientation keeps its own incumbent and bracket, so an
-    orientation that needs more levels runs on alone.  Merging changes no
-    result: every row is computed exactly as a search of its orientation
-    alone would compute it.
+    Both orientations, as given and user-swapped (weights swapped too),
+    run as rows of one batch and the better wins (notes["mirrored"]), so
+    the solver is exactly symmetric under a user swap.
     """
-    if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
-        raise ValueError("weights must be non-negative and not both zero")
-    scan = scan or ScanConfig(grid_points=61, refine_iters=24)
-
-    pair = _Pair(params, mu1, mu2)
-    found = zip(_interior_candidates(pair), _balanced_candidates(pair, scan))
-    (cand, branches), (cand_m, branches_m) = (
-        _pick(ctx, cands) for ctx, cands in zip(pair.ctx, found)
-    )
-    mirrored = cand_m["J"] > cand["J"]
-    if mirrored:
-        cand, branches = _swap_candidate(cand_m), branches_m
-
-    return _build_solution(
-        pair.ctx[0],
-        mu1,
-        mu2,
-        cand,
-        extra_notes={
-            "rho_scan_points": scan.grid_points,
-            "branches": branches,
-            "mirrored": mirrored,
-        },
-    )
+    return _solve(params, [(mu1, mu2)], scan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -891,24 +606,6 @@ def classicalized(params: CoopParams) -> ClassicalParams:
     )
 
 
-def _classical_best(params: CoopParams, mu1, mu2, cache):
-    """Best weighted point over the classical MDRBs (vertices suffice for a
-    linear objective over a polygonal region)."""
-    if "curves" not in cache:
-        from .classical_simul import mdrb_simultaneous
-        from .classical_sic import mdrb_sic
-
-        cp = classicalized(params)
-        cache["curves"] = [mdrb_simultaneous(cp), mdrb_sic(cp)]
-    best = (0.0, RatePoint(0.0, 0.0, 0.0))
-    for curve in cache["curves"]:
-        for pt in curve.points:
-            val = mu1 * pt.r1 + mu2 * pt.r2
-            if val > best[0]:
-                best = (val, pt)
-    return best[1]
-
-
 def coop_mdrb(
     params: CoopParams,
     weights=None,
@@ -917,50 +614,45 @@ def coop_mdrb(
 ) -> BoundaryCurve:
     """Weighted-sum-rate sweep of the cooperative frontier.
 
-    solver="closed" tries the linear-system shortcut first and reroutes to
-    the general solver whenever the screen rejects it (in practice always;
-    see module docstring).  Weight pairs whose solves come back invalid
-    fall back to the best classical point and are flagged in metadata.
+    The feasible boundary does not depend on the weights, so every weight
+    pair the general solver handles comes out of one trace (see
+    coop_solve_general).  solver="closed" tries the linear-system shortcut
+    first and hands a weight pair to the general solver whenever the
+    screen rejects it (in practice always; see module docstring).  Raises
+    RuntimeError if a solve ever comes back invalid.
     """
     if solver not in ("closed", "general"):
         raise ValueError(f"unknown solver {solver!r}")
     if weights is None:
         ts = np.linspace(0.0, 1.0, 101)
         weights = [(float(t), float(1.0 - t)) for t in ts]
-    cache: dict = {}
-    pts, meta = [], []
-    for mu1, mu2 in weights:
-        if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
-            raise ValueError("weights must be non-negative and not both zero")
-        sol = None
+    sols = {}
+    for i, (mu1, mu2) in enumerate(weights):
+        _check_weights(mu1, mu2)
         if solver == "closed":
             try:
-                cand = coop_solve_closed_form(params, mu1, mu2)
-                if cand.cooperation_valid and cand.sum_bound_satisfied:
-                    sol = cand
+                sol = coop_solve_closed_form(params, mu1, mu2)
             except (TypeError, NonUniqueSolutionError):
-                sol = None
-        if sol is None:
-            sol = coop_solve_general(params, mu1, mu2, scan)
+                continue
+            if sol.cooperation_valid and sol.sum_bound_satisfied:
+                sols[i] = sol
+    todo = [i for i in range(len(weights)) if i not in sols]
+    if todo:
+        sols.update(zip(todo, _solve(params, [weights[i] for i in todo], scan)))
+    pts, meta = [], []
+    for i in range(len(weights)):
+        sol = sols[i]
         if not sol.cooperation_valid:
-            pt = _classical_best(params, mu1, mu2, cache)
-            pts.append(RatePoint(pt.r1, pt.r2, pt.rho))
-            meta.append(
-                {"mu1": mu1, "mu2": mu2, "source": "classical", "rho": pt.rho}
+            raise RuntimeError(
+                f"cooperative solve at weights ({sol.mu1}, {sol.mu2}) is invalid"
             )
-            continue
         pts.append(RatePoint(sol.r1, sol.r2, sol.rho))
-        meta.append(
-            {
-                "mu1": mu1,
-                "mu2": mu2,
-                "source": sol.source,
-                "rho": sol.rho,
-                "p12": sol.alloc.p12,
-                "p21": sol.alloc.p21,
-                "pu1": sol.alloc.pu1,
-                "pu2": sol.alloc.pu2,
-                "weighted_rate": sol.weighted_rate,
-            }
-        )
+        meta.append({
+            "mu1": sol.mu1,
+            "mu2": sol.mu2,
+            "source": sol.source,
+            "rho": sol.rho,
+            **asdict(sol.alloc),
+            "weighted_rate": sol.weighted_rate,
+        })
     return upper_hull(pts, meta)

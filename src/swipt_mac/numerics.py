@@ -54,6 +54,10 @@ class RootConfig:
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """Grid sizes: critical_points samples grid_points steps;
+    coop_solve_general traces a p12 grid of 8*(grid_points-1)+1 points,
+    then zooms refine_iters // 2 levels (at least one), 16-fold each."""
+
     grid_points: int = 20001
     refine_iters: int = 100
 

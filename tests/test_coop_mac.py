@@ -3,7 +3,10 @@ constraint slacks and the weighted frontier."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.cli as cli
@@ -17,7 +20,7 @@ from swipt_mac.coop_mac import (
 )
 from swipt_mac.numerics import ScanConfig
 
-from conftest import iv_coop
+from conftest import iv_coop, iv_eh
 
 FAST = ScanConfig(grid_points=31, refine_iters=12)
 
@@ -270,3 +273,124 @@ def test_mdrb_metadata_carries_the_allocation():
     assert solved
     for m in solved:
         assert {"mu1", "mu2", "rho", "p12", "p21", "pu1", "pu2"} <= set(m)
+
+
+def _draw_const_dest(rng):
+    """A network drawn as acceptance criterion 8 draws its cooperative ones,
+    but charging the destination a flat ConstCost fee of 10 uW to 1 mW."""
+    while True:
+        beta = 10.0 ** rng.uniform(-3.0, -1.7)
+        b = 10.0 ** rng.uniform(0.0, 1.5)
+        c = 10.0 ** rng.uniform(0.0, 1.5)
+        if beta * beta * b * c <= 0.5:
+            break
+    eh = iv_eh() if rng.random() < 0.5 else sm.LinearEh(eta=rng.uniform(0.4, 1.0))
+    params = sm.CoopParams(
+        h1=rng.uniform(0.05, 0.3),
+        h2=rng.uniform(0.05, 0.3),
+        h12=math.sqrt(b * 1e-6),
+        h21=math.sqrt(c * 1e-6),
+        n1=1e-6,
+        n2=1e-6,
+        n=1e-6,
+        n_p=1e-3,
+        p_u1_budget=rng.uniform(0.2, 1.0),
+        p_u2_budget=rng.uniform(0.2, 1.0),
+        eh=eh,
+        cost_dest=sm.ConstCost(10.0 ** rng.uniform(-5.0, -3.0)),
+        cost_user1=sm.ExpCost(beta),
+        cost_user2=sm.ExpCost(beta),
+    )
+    return params, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+
+
+def test_const_dest_fee_reaches_the_grid_oracle():
+    # a flat destination fee leaves the fee slack at an MI-tight optimum;
+    # the boundary trace must reach it as brute force does
+    rng = np.random.default_rng(20260909)
+    for _ in range(16):
+        params, mu1, mu2 = _draw_const_dest(rng)
+        sol = coop_solve_general(params, mu1, mu2)
+        ref = sm.oracle_coop_weighted(params, mu1, mu2, grid=201)
+        assert sol.weighted_rate >= ref.weighted_rate - 1e-9
+        res = sol.constraint_residuals
+        assert res["dest_cost_w"] >= -1e-9 and res["sum_mi_bits"] >= -1e-9
+
+
+def test_binding_constraint_is_reported():
+    # fig5a: the fee and the sum MI bound close the rho interval together
+    params = cli.ingest_config(cli.PRESETS["fig5a"]).coop
+    sol = coop_solve_general(params, 0.5, 0.5)
+    assert sol.notes["binding"] == "fee+sum-mi" and sol.source == "balanced"
+    lo, hi = sol.notes["rho_interval"]
+    assert lo == sol.rho and hi - lo < 1e-9
+    assert isinstance(sol.notes["passes"], int) and sol.notes["passes"] > 0
+    # fig5d: the fee reaches the harvester's ceiling, the interval stays open
+    params = cli.ingest_config(cli.PRESETS["fig5d"]).coop
+    sol = coop_solve_general(params, 0.5, 0.5)
+    assert sol.notes["binding"] == "fee" and sol.source == "cost-tight"
+    assert params.cost_dest.eval(sol.r1 + sol.r2) > 0.999 * params.eh.p_max_dc
+    # a ConstCost destination fee: the flat fee and the MI bound meet
+    params = iv_coop(0.008, 1e-3, cost_dest=sm.ConstCost(0.005))
+    sol = coop_solve_general(params, 0.2, 0.8, FAST)
+    assert sol.notes["binding"] == "fee+sum-mi"
+    # a free destination with a loose MI bound: the user budgets bind
+    params = iv_coop(
+        0.008, 1e-3, cost_dest=sm.ConstCost(0.0), eh=sm.LinearEh(1.0), n_p=1e-9
+    )
+    sol = coop_solve_general(params, 0.5, 0.5, FAST)
+    assert sol.notes["binding"] in ("budget1", "budget2") and sol.source == "interior"
+    assert min(sol.alloc.pu1, sol.alloc.pu2) < 1e-9
+
+
+_FEES = (sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost)
+
+
+@st.composite
+def _networks(draw):
+    """Networks with any fee family at every node and either harvester."""
+    level = st.floats(-3.5, -1.7).map(lambda x: 10.0 ** x)
+    fees = [draw(st.sampled_from(_FEES))(draw(level)) for _ in range(3)]
+    eh = draw(st.one_of(st.just(iv_eh()), st.floats(0.3, 1.0).map(sm.LinearEh)))
+    gain = st.floats(0.05, 0.3)
+    link = st.floats(0.0, 1.5).map(lambda x: math.sqrt(10.0 ** x * 1e-6))
+    budget = st.floats(0.1, 1.0)
+    params = sm.CoopParams(
+        h1=draw(gain), h2=draw(gain), h12=draw(link), h21=draw(link),
+        n1=1e-6, n2=1e-6, n=1e-6, n_p=1e-3,
+        p_u1_budget=draw(budget), p_u2_budget=draw(budget),
+        eh=eh, cost_dest=fees[0], cost_user1=fees[1], cost_user2=fees[2],
+    )
+    weight = st.floats(0.0, 1.0)
+    mu1, mu2 = draw(weight), draw(weight)
+    assume(mu1 + mu2 > 0.0)
+    return params, mu1, mu2
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(_networks())
+def test_solutions_are_feasible_and_swap_symmetric(case):
+    params, mu1, mu2 = case
+    sol = coop_solve_general(params, mu1, mu2, FAST)
+    slacks = coop_constraints_eval(params, sol.alloc, sol.rho, sol.r1, sol.r2)
+    for key, val in slacks.items():
+        assert val >= -1e-9, key
+    assert abs(slacks["budget1_w"]) <= 1e-9 and abs(slacks["budget2_w"]) <= 1e-9
+    swapped = coop_solve_general(params.swapped(), mu2, mu1, FAST)
+    assert sol.weighted_rate == swapped.weighted_rate
+
+
+def test_mdrb_raises_on_an_invalid_solve(monkeypatch):
+    # no classical fallback: an invalid cooperative point is an error
+    import dataclasses
+
+    import swipt_mac.coop_mac as coop_mac
+
+    solve = coop_mac._solve
+
+    def broken(*args):
+        return [dataclasses.replace(s, cooperation_valid=False) for s in solve(*args)]
+
+    monkeypatch.setattr(coop_mac, "_solve", broken)
+    with pytest.raises(RuntimeError):
+        coop_mdrb(iv_coop(0.008, 1e-3), weights=[(0.5, 0.5)], scan=FAST)
