@@ -167,24 +167,27 @@ class _Batch:
     """Rows of a trace, each in one user orientation: rows [0, split) are
     the network as given, rows [split, R) the user-swapped one.  The
     constants of _CONSTS are (R, 1) columns, so points lie along axis 1;
-    each row is charged its own orientation's fee families."""
+    each row is charged its own orientation's fee families.  The models
+    are bound as their unchecked kernels: every rate and harvester input
+    _test hands them is a non-negative array by construction."""
 
     def __init__(self, ctxs, orient):
         self.split = int(np.count_nonzero(orient == 0))
         for name in _CONSTS:
             col = np.array([getattr(ctxs[o], name) for o in orient])
             setattr(self, name, col[:, None])
-        dest = ctxs[0]  # the destination side is the same in both
-        self.n, self.n_p, self.eh, self.phid = dest.n, dest.n_p, dest.eh, dest.phid
+        dest = ctxs[0].p  # the destination side is the same in both
+        self.n, self.n_p = dest.n, dest.n_p
+        self.psi, self.phid = dest.eh.kernel, dest.cost_dest.kernel
         (a1, a2), (b1, b2) = ((ctx.p.cost_user1, ctx.p.cost_user2) for ctx in ctxs)
         self.phi1, self.phi2 = self._per_row(a1, b1), self._per_row(a2, b2)
 
     def _per_row(self, a, b):
         """Fee a on rows [0, split), fee b on the rest."""
         if a == b:
-            return a.eval
+            return a.kernel
         split = self.split
-        return lambda r: np.concatenate([a.eval(r[:split]), b.eval(r[split:])])
+        return lambda r: np.concatenate([a.kernel(r[:split]), b.kernel(r[split:])])
 
 
 def _test(bt: _Batch, p12, p21, pre=None, parts=False) -> dict:
@@ -204,7 +207,7 @@ def _test(bt: _Batch, p12, p21, pre=None, parts=False) -> dict:
     mi = q * bt.n_p <= d  # the sum MI bound holds at rho = 0
     rho_hi = np.where(mi, 1.0 - q * bt.n_p / np.where(mi & (d > 0.0), d, 1.0), 0.0)
     fee = bt.phid(r)
-    joint = bt.eh.eval(rho_hi * (s + bt.n)) >= fee
+    joint = bt.psi(rho_hi * (s + bt.n)) >= fee
     rec = {
         "ok": (pu1 >= 0.0) & (pu2 >= 0.0) & mi & joint,
         "r1": r1, "r2": r2, "pu1": pu1, "pu2": pu2, "s": s, "rho_hi": rho_hi,
@@ -212,7 +215,7 @@ def _test(bt: _Batch, p12, p21, pre=None, parts=False) -> dict:
     if parts:  # keyed by _SOURCE; "fee" at rho = 1, the MI bound aside
         rec.update({
             "budget1": pu1 >= 0.0, "budget2": pu2 >= 0.0, "sum-mi": mi,
-            "fee": bt.eh.eval(s + bt.n) >= fee, "fee+sum-mi": joint,
+            "fee": bt.psi(s + bt.n) >= fee, "fee+sum-mi": joint,
         })
     return rec
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
 __all__ = [
     "UNBOUNDED",
@@ -94,6 +93,69 @@ def _expit_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+# glibc's cexp rescales a real part above this, and loses libm's last bit
+_CEXP_EXACT = 709.0
+
+
+def _exp_or_inf(x: float) -> float:
+    """libm's exp, overflowing to inf as C's does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit_array(x, x_min: float):
+    """Logistic 1/(1+exp(-x)) of a float array, with libm's exp bit for bit.
+
+    numpy's float64 exp is a SIMD routine that differs from libm's exp in
+    the last bit on some inputs, which moves the pinned CLI outputs.  Its
+    complex128 exp calls the C library's cexp, and for a zero imaginary
+    part cexp returns libm's exp(re) times 1, so the logistic is taken
+    through complex exp.  Above re = 709 glibc rescales the argument, so
+    elements with -x > 709 take math.exp one by one.  x_min is a lower
+    bound of x: that scalar pass runs only when it lies below -709.
+    """
+    z = np.asarray(np.negative(x), dtype=complex)
+    re = z.real
+    if x_min < -_CEXP_EXACT:
+        hot = re > _CEXP_EXACT
+        big = re[hot]
+        re[hot] = 0.0
+        np.exp(z, out=z)
+        re[hot] = [_exp_or_inf(v) for v in big]
+    else:
+        np.exp(z, out=z)
+    re += 1.0
+    return np.divide(1.0, re, out=re)
+
+
+def _logit(x: float) -> float:
+    """log(x/(1-x)) on [0, 1], evaluated as scipy's logit evaluates it:
+    log1p(s) - log1p(-s) with s = 2(x - 1/2) on [0.3, 0.65], where the
+    quotient loses precision, and the quotient elsewhere."""
+    if 0.3 <= x <= 0.65:
+        s = 2.0 * (x - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    if x == 0.0:
+        return -math.inf
+    if x == 1.0:
+        return math.inf
+    return math.log(x / (1.0 - x))
+
+
+def _unwrap(out):
+    """A 0-d result as a float, any other as the array."""
+    return out if out.ndim else float(out)
+
+
+def _check_array(x, what):
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ModelDomainError(f"{what} must be >= 0")
+    return x
+
+
 def _check_finite(*values):
     """Reject NaN and infinite parameters at construction, before a solver
     can turn them into masked or meaningless results."""
@@ -107,9 +169,17 @@ def _check_finite(*values):
 
 
 class EhModel:
-    """Base class for EH conversion functions psi: input RF power -> DC power."""
+    """Base class for EH conversion functions psi: input RF power -> DC power.
+
+    eval checks its input; kernel is the unchecked array evaluation behind
+    eval's array path, for callers whose input is a float ndarray that is
+    non-negative by construction.
+    """
 
     def eval(self, p_in):
+        raise NotImplementedError
+
+    def kernel(self, p_in):
         raise NotImplementedError
 
     def inverse(self, p_dc):
@@ -127,8 +197,11 @@ class LogisticEh(EhModel):
     saturation output.  theta is the zero-input offset.  On the scalar
     path Psi(0)/p_max_dc and theta are the *same* expression
     _expit_scalar(-q1*q2), so eval(0.0) == 0 holds bitwise.  The array path
-    computes the logistic with scipy's expit, which can differ from theta
-    in the last bits: eval(np.zeros(3)) may return about 1e-19 W, not 0.
+    computes the logistic with _expit_array, through numpy's complex exp,
+    because that is the numpy exp that returns libm's values bit for bit
+    (the float64 one does not, and the pinned CLI outputs depend on those
+    bits).  Its 1/(1+exp(-x)) form can differ from theta in the last bits:
+    eval(np.zeros(3)) may return about 1e-19 W, not 0.
     """
 
     q1: float
@@ -151,12 +224,12 @@ class LogisticEh(EhModel):
                 raise ModelDomainError("EH input power must be >= 0")
             raw = _expit_scalar(self.q1 * (p_in - self.q2))
             return self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
-        p_in = np.asarray(p_in, dtype=float)
-        if (p_in < 0).any():
-            raise ModelDomainError("EH input power must be >= 0")
-        raw = expit(self.q1 * (p_in - self.q2))  # = Psi/p_max_dc
-        out = self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(p_in, "EH input power")))
+
+    def kernel(self, p_in):
+        # on p_in >= 0 the logistic's argument is at least -q1*q2
+        raw = _expit_array(self.q1 * (p_in - self.q2), -self.q1 * self.q2)
+        return self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
 
     def inverse(self, p_dc):
         p_dc = float(p_dc)
@@ -171,7 +244,7 @@ class LogisticEh(EhModel):
             )
         # invert the normalisation, then the logistic
         raw = (p_dc * (1.0 - self.theta)) / self.p_max_dc + self.theta
-        return self.q2 + float(logit(raw)) / self.q1
+        return self.q2 + _logit(raw) / self.q1
 
     @property
     def ceiling(self):
@@ -194,11 +267,10 @@ class LinearEh(EhModel):
             if p_in < 0:
                 raise ModelDomainError("EH input power must be >= 0")
             return self.eta * float(p_in)
-        p_in = np.asarray(p_in, dtype=float)
-        if (p_in < 0).any():
-            raise ModelDomainError("EH input power must be >= 0")
-        out = self.eta * p_in
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(p_in, "EH input power")))
+
+    def kernel(self, p_in):
+        return self.eta * p_in
 
     def inverse(self, p_dc):
         p_dc = float(p_dc)
@@ -222,20 +294,19 @@ class LinearEh(EhModel):
 
 class CostModel:
     """Base class for decoding-cost functions phi(R) [W], non-decreasing,
-    phi(0)=0, with a generalized inverse sup{R>=0 : phi(R) <= p}."""
+    phi(0)=0, with a generalized inverse sup{R>=0 : phi(R) <= p}.
+
+    As for EhModel, kernel is eval's array path without the checks.
+    """
 
     def eval(self, r):
         raise NotImplementedError
 
-    def inverse(self, p):
+    def kernel(self, r):
         raise NotImplementedError
 
-
-def _check_rate(r):
-    r = np.asarray(r, dtype=float)
-    if (r < 0).any():
-        raise ModelDomainError("rate must be >= 0")
-    return r
+    def inverse(self, p):
+        raise NotImplementedError
 
 
 def _check_power(p):
@@ -260,9 +331,10 @@ class ExpCost(CostModel):
             if r < 0:
                 raise ModelDomainError("rate must be >= 0")
             return self.beta * math.expm1(2.0 * _LOG2 * r)
-        r = _check_rate(r)
-        out = self.beta * np.expm1(2.0 * _LOG2 * r)
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(r, "rate")))
+
+    def kernel(self, r):
+        return self.beta * np.expm1(2.0 * _LOG2 * r)
 
     def inverse(self, p):
         p = _check_power(p)
@@ -285,9 +357,10 @@ class LogCost(CostModel):
             if r < 0:
                 raise ModelDomainError("rate must be >= 0")
             return self.beta * math.log1p(2.0 * r) / _LOG2
-        r = _check_rate(r)
-        out = self.beta * np.log1p(2.0 * r) / _LOG2
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(r, "rate")))
+
+    def kernel(self, r):
+        return self.beta * np.log1p(2.0 * r) / _LOG2
 
     def inverse(self, p):
         p = _check_power(p)
@@ -310,9 +383,10 @@ class LinCost(CostModel):
             if r < 0:
                 raise ModelDomainError("rate must be >= 0")
             return 2.0 * self.beta * r
-        r = _check_rate(r)
-        out = 2.0 * self.beta * r
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(r, "rate")))
+
+    def kernel(self, r):
+        return 2.0 * self.beta * r
 
     def inverse(self, p):
         p = _check_power(p)
@@ -338,9 +412,10 @@ class ConstCost(CostModel):
             if r < 0:
                 raise ModelDomainError("rate must be >= 0")
             return self.phi0 if r > 0 else 0.0
-        r = _check_rate(r)
-        out = np.where(r > 0, self.phi0, 0.0)
-        return out if out.ndim else float(out)
+        return _unwrap(self.kernel(_check_array(r, "rate")))
+
+    def kernel(self, r):
+        return np.where(r > 0, self.phi0, 0.0)
 
     def inverse(self, p):
         p = _check_power(p)
@@ -399,8 +474,7 @@ def cost_rate_cap(model: CostModel, p_dc, cap):
         out = np.minimum(
             np.vectorize(lambda x: model.inverse(x))(p), cap
         )
-    out = np.where(p_dc < 0, 0.0, out)
-    return out if out.ndim else float(out)
+    return _unwrap(np.where(p_dc < 0, 0.0, out))
 
 
 # ---------------------------------------------------------------------------

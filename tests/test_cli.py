@@ -1,6 +1,9 @@
 """Config ingestion, presets, CSV emission and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,3 +234,16 @@ def test_config_file_overrides_preset(tmp_path):
     kv.update(PRESETS["fig3a"])
     kv.update(cli._read_config_file(str(cfg_file)))
     assert ingest_config(kv).classical.cost.beta == pytest.approx(0.002)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, swipt_mac.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,18 @@
 """EH curves, decoding-cost families, and parameter-record validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import swipt_mac as sm
-from swipt_mac.models import ModelDomainError, NoInverseError, SaturationError
+from swipt_mac.models import (
+    ModelDomainError,
+    NoInverseError,
+    SaturationError,
+    _expit_array,
+)
 
 from conftest import iv_classical, iv_coop, iv_eh
 
@@ -62,6 +68,84 @@ def test_logistic_vector_eval_matches_scalar():
     vec = eh.eval(p)
     for pi, yi in zip(p, vec):
         assert yi == pytest.approx(eh.eval(float(pi)), rel=1e-12, abs=1e-18)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_logistic_array_kernel_is_bitwise_scipy_expit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20260331)
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([
+        0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+        -709.0, np.nextafter(-709.0, 0.0), np.nextafter(-709.0, -1.0),
+        -709.5, -709.78, -709.79, -709.8, -710.0, -745.2, -746.0, -1e308,
+        -np.inf, 36.0, 37.0, 709.0, 745.2, 746.0, 1e308, np.inf,
+    ])
+    x = np.concatenate([
+        edges,
+        rng.uniform(-709.79, -709.0, 20_000),  # glibc rescales cexp here
+        rng.uniform(-800.0, 800.0, 200_000),
+        rng.normal(0.0, 8.0, 200_000),
+        rng.uniform(-1e-300, 1e-300, 1_000),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit_array(x, float(x.min()))
+        want = special.expit(x)
+    assert np.array_equal(_bits(got), _bits(want))
+    # a bound above -709 skips the scalar pass and changes nothing there
+    calm = x[x >= -709.0]
+    assert np.array_equal(_bits(_expit_array(calm, -709.0)), _bits(special.expit(calm)))
+
+
+def test_logistic_eval_is_bitwise_scipy_formula():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20260808)
+    # q1*q2 = 1500 puts the logistic's argument below -709 near p = 0
+    for eh in (iv_eh(), sm.LogisticEh(q1=1.5e6, q2=1e-3, p_max_dc=0.024)):
+        p = np.concatenate([[0.0, 5e-324, eh.q2], rng.uniform(0.0, 0.05, 50_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eh.eval(p)
+            raw = special.expit(eh.q1 * (p - eh.q2))
+        want = eh.p_max_dc * (raw - eh.theta) / (1.0 - eh.theta)
+        assert np.array_equal(_bits(got), _bits(want))
+        zero_d = eh.eval(np.array(p[-1]))
+        assert type(zero_d) is float and zero_d == got[-1]
+
+
+def test_logistic_inverse_is_bitwise_scipy_logit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20260909)
+
+    def scipy_inverse(eh, p_dc):
+        raw = (p_dc * (1.0 - eh.theta)) / eh.p_max_dc + eh.theta
+        with np.errstate(divide="ignore"):
+            return eh.q2 + float(special.logit(raw)) / eh.q1
+
+    eh = iv_eh()
+    for p_dc in rng.uniform(0.0, eh.p_max_dc, 50_000):
+        assert _bits(eh.inverse(p_dc)) == _bits(scipy_inverse(eh, p_dc))
+    # theta = 0 and p_max_dc = 1 make the logit's argument p_dc itself, so
+    # both sides of both switch points (0.3 and 0.65) are reached exactly
+    unit = sm.LogisticEh(q1=1e6, q2=1e-3, p_max_dc=1.0)
+    assert unit.theta == 0.0
+    edges = [v for e in (0.3, 0.65) for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+    edges += [1e-300, 0.5, np.nextafter(1.0, 0.0)]
+    for p_dc in map(float, edges + list(rng.uniform(0.0, 1.0, 20_000))):
+        assert (p_dc * (1.0 - unit.theta)) / unit.p_max_dc + unit.theta == p_dc
+        assert _bits(unit.inverse(p_dc)) == _bits(scipy_inverse(unit, p_dc))
+    # the logit's argument rounds to 0 (theta = 0) or to 1 (theta = 1/2)
+    # inside the domain, and the inverse is -inf or inf as with scipy
+    ends = (
+        (sm.LogisticEh(q1=1e6, q2=1e-3, p_max_dc=2.0), 5e-324, -math.inf),
+        (sm.LogisticEh(q1=1.0, q2=0.0, p_max_dc=1.0), float(np.nextafter(1.0, 0.0)), math.inf),
+    )
+    for eh, p_dc, want in ends:
+        assert eh.inverse(p_dc) == scipy_inverse(eh, p_dc) == want
 
 
 def test_linear_eh_round_trip_and_no_inverse_at_zero_efficiency():
@@ -145,6 +229,19 @@ def test_dispatchers_agree_with_methods():
     assert sm.cost_inverse(cost, 0.01) == cost.inverse(0.01)
     assert sm.eh_eval(eh, 0.005) == eh.eval(0.005)
     assert sm.eh_inverse(eh, 0.01) == eh.inverse(0.01)
+
+
+@pytest.mark.parametrize("model", [
+    iv_eh(), sm.LinearEh(eta=0.35), sm.ExpCost(beta=2e-3), sm.LogCost(beta=2e-3),
+    sm.LinCost(beta=2e-3), sm.ConstCost(phi0=0.013),
+], ids=lambda m: type(m).__name__)
+def test_eval_is_the_unchecked_kernel_plus_checks(model):
+    x = np.linspace(0.0, 0.05, 24).reshape(2, 12)
+    assert np.array_equal(_bits(model.eval(x)), _bits(model.kernel(x)))
+    x[1, 5] = -1e-12
+    with pytest.raises(ModelDomainError):
+        model.eval(x)
+    model.kernel(x)  # trusted callers skip the check
 
 
 # ---------------------------------------------------------------------------
