@@ -5,8 +5,8 @@ harvested energy.
 Modules
 -------
 models            EH / decoding-cost model families and parameter records
-numerics          scalar and batched root finding, critical points of an
-                  array objective, 2x2 linear solve
+numerics          bracketed bisection, critical points of an array
+                  objective, 2x2 linear solve
 region            boundary curves, time-sharing hulls, dominance metrics
 classical_simul   simultaneous decoding: bounds, breakpoints, MDRB, sum rate
 classical_sic     successive decoding: both orders, MDRB, sum rate
@@ -46,7 +46,6 @@ from .numerics import (
     ScanConfig,
     SingularMatrixError,
     bisect_root,
-    bracket_roots,
     critical_points,
     solve_2x2,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "EvaluationError",
     "SingularMatrixError",
     "bisect_root",
-    "bracket_roots",
     "critical_points",
     "solve_2x2",
     # region

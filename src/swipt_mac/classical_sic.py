@@ -35,7 +35,7 @@ from .classical_simul import (
     rate_bound_user1,
     rate_bound_user2,
 )
-from .region import BoundaryCurve, upper_hull
+from .region import BoundaryCurve, frontier, sweeps
 
 __all__ = [
     "DecodingOrder",
@@ -213,60 +213,46 @@ def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpo
 
 
 def _order_segments(params, order, n_points):
-    """Boundary samples of both rho sweeps for one decoding order."""
+    """Boundary sweeps of one decoding order as (r1, r2, rho, labels) parts."""
     eh, cost, a = params.eh, params.cost, params.a
     bp = sic_breakpoints(params, order)
-    pts, meta = [], []
     tag = order.value
 
     if isinstance(cost, ConstCost):
         b1s, b2s = sic_rate_bounds(params, bp.rho_1, order)
-        pts += [
-            RatePoint(float(b1s), 0.0, bp.rho_1),
-            RatePoint(0.0, float(b2s), bp.rho_1),
-        ]
-        meta += [
-            {"rho": bp.rho_1, "order": tag, "segment": "single-user"},
-            {"rho": bp.rho_1, "order": tag, "segment": "single-user"},
-        ]
+        parts = [([b1s, 0.0], [0.0, b2s], [bp.rho_1] * 2,
+                  {"order": tag, "segment": "single-user"})]
         if not math.isnan(bp.rho_c):
             b1b, b2b = sic_rate_bounds(params, bp.rho_c, order)
-            pts.append(RatePoint(float(b1b), float(b2b), bp.rho_c))
-            meta.append({"rho": bp.rho_c, "order": tag, "segment": "both"})
-        return pts, meta
+            parts.append(([b1b], [b2b], [bp.rho_c], {"order": tag, "segment": "both"}))
+        return parts
 
     psi = lambda rho_arr: eh.eval(np.asarray(rho_arr) * a)
 
     rho_a = np.linspace(bp.rho_1, bp.rho_c, n_points)
     b1_a, b2_a = sic_rate_bounds(params, rho_a, order)
     r1_a = cost_rate_cap(cost, psi(rho_a) - cost.eval(b2_a), b1_a)
-    for rho, r1, r2 in zip(rho_a, r1_a, b2_a):
-        pts.append(RatePoint(float(r1), float(r2), float(rho)))
-        meta.append({"rho": float(rho), "order": tag, "segment": "user2-pinned"})
 
     rho_b = np.linspace(bp.rho_2, bp.rho_c, n_points)
     b1_b, b2_b = sic_rate_bounds(params, rho_b, order)
     r2_b = cost_rate_cap(cost, psi(rho_b) - cost.eval(b1_b), b2_b)
-    for rho, r1, r2 in zip(rho_b, b1_b, r2_b):
-        pts.append(RatePoint(float(r1), float(r2), float(rho)))
-        meta.append({"rho": float(rho), "order": tag, "segment": "user1-pinned"})
-    return pts, meta
+    return [
+        (r1_a, b2_a, rho_a, {"order": tag, "segment": "user2-pinned"}),
+        (b1_b, r2_b, rho_b, {"order": tag, "segment": "user1-pinned"}),
+    ]
 
 
 def mdrb_sic(params: ClassicalParams, n_points: int = 512) -> BoundaryCurve:
     """Time-sharing envelope of both decoding orders' boundary sweeps."""
-    pts, meta = [], []
-    errors = []
+    parts, errors = [], []
     for order in DecodingOrder:
         try:
-            p, m = _order_segments(params, order, n_points)
-            pts += p
-            meta += m
+            parts += _order_segments(params, order, n_points)
         except InfeasibleRegionError as err:
             errors.append(str(err))
-    if not pts:
+    if not any(len(part[2]) for part in parts):
         return BoundaryCurve(points=[], metadata=[], empty_reason="; ".join(errors))
-    return upper_hull(pts, meta)
+    return frontier(*sweeps(*parts), hull=True)
 
 
 # ---------------------------------------------------------------------------

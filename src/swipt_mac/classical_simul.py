@@ -30,7 +30,7 @@ from .models import (
     cost_rate_cap,
 )
 from .numerics import RootConfig, bisect_root
-from .region import BoundaryCurve, assemble_frontier, upper_hull
+from .region import BoundaryCurve, envelope, frontier, sweeps
 
 __all__ = [
     "InfeasibleRegionError",
@@ -230,16 +230,12 @@ def _pentagon_curve(params, rho, n_points):
     b2 = rate_bound_user2(params, rho)
     bs = rate_bound_sum(params, rho)
     kink = max(bs - b1, 0.0)
-    r2_grid = np.unique(
+    r2 = np.unique(
         np.concatenate([np.linspace(0.0, b2, max(n_points, 2)), [kink, b2]])
     )
-    pts = [
-        RatePoint(r1=min(b1, bs - r2), r2=float(r2), rho=rho)
-        for r2 in r2_grid
-        if bs - r2 >= -1e-15
-    ]
-    meta = [{"rho": rho, "segment": "pentagon"} for _ in pts]
-    return assemble_frontier(pts, meta)
+    r2 = r2[bs - r2 >= -1e-15]
+    r1 = np.where(bs - r2 < b1, bs - r2, b1)  # min(b1, bs - r2)
+    return frontier(*sweeps((r1, r2, np.full(r2.size, rho), {"segment": "pentagon"})))
 
 
 def _convexity_holds(params, p_lo, p_hi):
@@ -262,11 +258,10 @@ def _sags_below_hull(curve):
     trace an arc that dips under its own chord.  Comparing against the
     envelope directly catches that.
     """
-    hull = upper_hull(curve.points, curve.metadata)
-    sag = np.interp(
-        np.asarray(curve.r2), np.asarray(hull.r2), np.asarray(hull.r1)
-    ) - np.asarray(curve.r1)
-    scale = max(1.0, max(p.r1 for p in hull.points))
+    r1, r2 = curve.r1, curve.r2
+    hull_r1, hull_r2 = envelope(r1, r2)
+    sag = np.interp(r2, hull_r2, hull_r1) - r1
+    scale = max(1.0, float(hull_r1.max()))
     return bool(np.max(sag) > 1e-9 * scale)
 
 
@@ -287,7 +282,6 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
         return _pentagon_curve(params, bp.rho_c, n_points)
 
     eh, cost, a = params.eh, params.cost, params.a
-    pts, meta = [], []
 
     def affordable(rho_arr):
         return cost_rate_cap(cost, eh.eval(np.asarray(rho_arr) * a), np.inf)
@@ -296,33 +290,31 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     rho1_grid = np.linspace(bp.rho_1, bp.rho_c, n_points)
     r2_seg = rate_bound_user2(params, rho1_grid)
     r1_seg = np.maximum(affordable(rho1_grid) - r2_seg, 0.0)
-    for rho, r1, r2 in zip(rho1_grid, r1_seg, r2_seg):
-        pts.append(RatePoint(float(r1), float(r2), float(rho)))
-        meta.append({"rho": float(rho), "segment": "user2-pinned"})
 
     # symmetric sweep with user 1 pinned
     rho2_grid = np.linspace(bp.rho_2, bp.rho_c, n_points)
     r1b_seg = rate_bound_user1(params, rho2_grid)
     r2b_seg = np.maximum(affordable(rho2_grid) - r1b_seg, 0.0)
-    for rho, r1, r2 in zip(rho2_grid, r1b_seg, r2b_seg):
-        pts.append(RatePoint(float(r1), float(r2), float(rho)))
-        meta.append({"rho": float(rho), "segment": "user1-pinned"})
 
     # sum-rate face at the balancing factor (slope -1 between sweep ends)
     s = float(affordable(np.array([bp.rho_c]))[0])
     b1c = rate_bound_user1(params, bp.rho_c)
     b2c = rate_bound_user2(params, bp.rho_c)
     face_lo = max(s - b1c, 0.0)
-    for r2 in np.linspace(face_lo, min(b2c, s), max(n_points // 8, 2)):
-        pts.append(RatePoint(float(max(s - r2, 0.0)), float(r2), bp.rho_c))
-        meta.append({"rho": bp.rho_c, "segment": "sum-face"})
+    r2_face = np.linspace(face_lo, min(b2c, s), max(n_points // 8, 2))
+    r1_face = np.where(s - r2_face < 0.0, 0.0, s - r2_face)  # max(s - r2, 0.0)
 
+    cloud = sweeps(
+        (r1_seg, r2_seg, rho1_grid, {"segment": "user2-pinned"}),
+        (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
+        (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
+    )
     lo = min(bp.rho_1, bp.rho_2) * a
     if _convexity_holds(params, lo, bp.rho_c * a):
-        raw = assemble_frontier(pts, meta)
+        raw = frontier(*cloud)
         if not _sags_below_hull(raw):
             return raw
-    return upper_hull(pts, meta)
+    return frontier(*cloud, hull=True)
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,11 @@ from .models import (
     LinearEh,
     NoInverseError,
     PowerAllocation,
-    RatePoint,
     SaturationError,
     cost_rate_cap,
 )
 from .numerics import ScanConfig, SingularMatrixError, solve_2x2
-from .region import BoundaryCurve, upper_hull
+from .region import BoundaryCurve, frontier
 
 __all__ = [
     "NonUniqueSolutionError",
@@ -642,20 +641,25 @@ def coop_mdrb(
     todo = [i for i in range(len(weights)) if i not in sols]
     if todo:
         sols.update(zip(todo, _solve(params, [weights[i] for i in todo], scan)))
-    pts, meta = [], []
-    for i in range(len(weights)):
-        sol = sols[i]
+    sols = [sols[i] for i in range(len(weights))]
+    for sol in sols:
         if not sol.cooperation_valid:
             raise RuntimeError(
                 f"cooperative solve at weights ({sol.mu1}, {sol.mu2}) is invalid"
             )
-        pts.append(RatePoint(sol.r1, sol.r2, sol.rho))
-        meta.append({
+
+    def meta_of(i):
+        sol = sols[i]
+        return {
             "mu1": sol.mu1,
             "mu2": sol.mu2,
             "source": sol.source,
             "rho": sol.rho,
             **asdict(sol.alloc),
             "weighted_rate": sol.weighted_rate,
-        })
-    return upper_hull(pts, meta)
+        }
+
+    return frontier(
+        [sol.r1 for sol in sols], [sol.r2 for sol in sols],
+        [sol.rho for sol in sols], meta_of, hull=True,
+    )

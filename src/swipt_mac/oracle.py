@@ -130,8 +130,10 @@ def oracle_coop_weighted(
 
     Fresh-message powers come from the budget equalities (affine for Exp
     user costs, which this oracle requires); the destination cost and sum
-    MI bounds are checked directly on every grid plane.  The all-common
-    corner (zero rates) is always feasible, so a maximizer always exists.
+    MI bounds are checked directly on every rho plane, at every grid point
+    whose weighted rate beats the best found so far (no other point can
+    replace it).  The all-common corner (zero rates) is always feasible, so
+    a maximizer always exists.
     """
     if not (
         isinstance(params.cost_user1, ExpCost)
@@ -165,19 +167,27 @@ def oracle_coop_weighted(
         + 2.0 * params.h1 * params.h2 * np.sqrt(pu1 * pu2)
     )
     j_plane = np.where(mask, mu1 * r1 + mu2 * r2, -np.inf)
+    j_flat, s_flat, fee_flat, sums_flat = (
+        np.ravel(v) for v in (j_plane, s_tot, fee, sums)
+    )
 
     best = (-math.inf, 0.0, 0, 0)  # J, rho, i, j
     for rho in np.linspace(0.0, 1.0, grid):
-        harvest = params.eh.eval(rho * (s_tot + params.n))
+        # only a point above the incumbent can replace it; C order keeps the
+        # first of equal maxima.  The sum-MI test is the cheaper one, so the
+        # harvest is evaluated only where it passes.
+        cand = np.flatnonzero(j_flat > best[0])
+        s = s_flat[cand]
         cap = 0.5 * np.log2(
-            1.0 + (1.0 - rho) * s_tot / ((1.0 - rho) * params.n + params.n_p)
+            1.0 + (1.0 - rho) * s / ((1.0 - rho) * params.n + params.n_p)
         )
-        feas = (fee <= harvest + 1e-12) & (sums <= cap + 1e-12)
-        j = np.where(feas, j_plane, -np.inf)
-        i_flat = int(np.argmax(j))
-        v = float(j.flat[i_flat])
-        if v > best[0]:
-            best = (v, float(rho), *np.unravel_index(i_flat, j.shape))
+        keep = sums_flat[cand] <= cap + 1e-12
+        cand, s = cand[keep], s[keep]
+        harvest = params.eh.eval(rho * (s + params.n))
+        cand = cand[fee_flat[cand] <= harvest + 1e-12]
+        if cand.size:
+            k = int(cand[np.argmax(j_flat[cand])])
+            best = (float(j_flat[k]), float(rho), *np.unravel_index(k, j_plane.shape))
     _, rho_b, i_b, j_b = best
     alloc = PowerAllocation(
         p12=float(p12c[i_b, j_b]),

@@ -6,19 +6,31 @@ increasing, r1 non-increasing.  Time sharing between operating points makes
 every convex combination achievable, so the physically meaningful envelope
 of a point cloud is its upper concave hull augmented with the axis
 intercepts.
+
+Clouds are processed as arrays by one core that clamps roundoff
+negatives, sorts, drops near-duplicate r2 values, optionally runs the
+monotone chain, Pareto-cleans and returns the indices of the points that
+survive; RatePoints and metadata dicts are built for those points only.
+The solvers hand their rho sweeps to frontier() (see sweeps());
+upper_hull and assemble_frontier run the same core on RatePoint lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import RatePoint
 
-__all__ = ["BoundaryCurve", "upper_hull", "dominates", "hausdorff"]
+__all__ = [
+    "BoundaryCurve", "assemble_frontier", "upper_hull", "frontier", "sweeps",
+    "envelope", "dominates", "hausdorff",
+]
 
 _NEG_TOL = 1e-12  # clamp threshold for tiny negative rates from roundoff
+_DUP_R2 = 1e-15  # r2 values closer than this to the last kept one are duplicates
 
 
 @dataclass
@@ -44,16 +56,20 @@ class BoundaryCurve:
         self.validate()
 
     def validate(self):
-        prev = None
-        for p in self.points:
-            if p.r1 < 0 or p.r2 < 0:
-                raise ValueError(f"negative rate in boundary point {p}")
-            if prev is not None:
-                if not p.r2 > prev.r2:
-                    raise ValueError("r2 must be strictly increasing")
-                if p.r1 > prev.r1 + 1e-12:
-                    raise ValueError("r1 must be non-increasing")
-            prev = p
+        r1, r2 = self.r1, self.r2
+        neg = (r1 < 0) | (r2 < 0)
+        flat = ~(np.diff(r2) > 0)
+        rise = r1[1:] > r1[:-1] + 1e-12
+        bad = neg.copy()
+        bad[1:] |= flat | rise
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))  # the first offending point
+        if neg[k]:
+            raise ValueError(f"negative rate in boundary point {self.points[k]}")
+        if flat[k - 1]:
+            raise ValueError("r2 must be strictly increasing")
+        raise ValueError("r1 must be non-increasing")
 
     def __len__(self):
         return len(self.points)
@@ -77,19 +93,130 @@ class BoundaryCurve:
         return np.interp(r2, self.r2, self.r1)
 
 
-def _clamp_point(p: RatePoint):
-    r1, r2 = p.r1, p.r2
-    if r1 < 0:
-        if r1 < -_NEG_TOL:
-            raise ValueError(f"negative r1 in {p}")
-        r1 = 0.0
-    if r2 < 0:
-        if r2 < -_NEG_TOL:
-            raise ValueError(f"negative r2 in {p}")
-        r2 = 0.0
-    if r1 != p.r1 or r2 != p.r2:
-        return RatePoint(r1, r2, p.rho)
-    return p
+def _survivors(r1, r2, hull, point_of):
+    """The points of a cloud on its frontier (hull=False) or on its
+    time-sharing envelope (hull=True), in increasing r2.
+
+    Returns (src, r1, r2, axis) as lists: src[k] is the input index of
+    survivor k, r1[k]/r2[k] its rates after clamping, and axis[k] whether it
+    is an axis intercept added for the hull (point src[k] moved onto an
+    axis).  A rate below -_NEG_TOL raises ValueError naming point_of(i);
+    smaller negatives are roundoff and clamp to zero.
+    """
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    n = r1.size
+    if hull and n == 0:
+        raise ValueError("need at least one point")
+    low1, low2 = r1 < 0, r2 < 0
+    if low1.any() or low2.any():
+        bad = np.flatnonzero((r1 < -_NEG_TOL) | (r2 < -_NEG_TOL))
+        if bad.size:
+            i = int(bad[0])
+            which = "r1" if r1[i] < -_NEG_TOL else "r2"
+            raise ValueError(f"negative {which} in {point_of(i)}")
+        r1 = np.where(low1, 0.0, r1)
+        r2 = np.where(low2, 0.0, r2)
+    src = np.arange(n)
+    if hull:
+        # time sharing against the single-user extremes closes the region
+        top, right = int(np.argmax(r1)), int(np.argmax(r2))
+        add = [r2[top] > 0, r1[right] > 0]
+        src = np.concatenate([src, np.array([top, right])[add]])
+        r1 = np.concatenate([r1, np.array([r1[top], 0.0])[add]])
+        r2 = np.concatenate([r2, np.array([0.0, r2[right]])[add]])
+    # sort by r2 ascending, ties resolved by larger r1 first (stable)
+    order = np.lexsort((-r1, r2))
+    # drop duplicate r2 values (the first of a tie has the larger r1); a
+    # point farther than _DUP_R2 from its sorted predecessor is always kept
+    s2 = r2[order]
+    close = np.flatnonzero(np.diff(s2) <= _DUP_R2) + 1
+    if close.size:
+        keep = np.ones(order.size, dtype=bool)
+        last = 0
+        for k in close.tolist():
+            if keep[k - 1]:
+                last = k - 1
+            keep[k] = s2[k] - s2[last] > _DUP_R2
+        order = order[keep]
+    if hull:
+        # monotone chain; a point leaves only when it lies strictly below
+        # the chord of its neighbours, so collinear points survive
+        xs, ys, ks = [], [], []
+        for k, x, y in zip(order.tolist(), r2[order].tolist(), r1[order].tolist()):
+            while len(ks) >= 2 and (
+                (xs[-1] - xs[-2]) * (y - ys[-2]) - (ys[-1] - ys[-2]) * (x - xs[-2])
+                > 0.0
+            ):
+                del xs[-1], ys[-1], ks[-1]
+            xs.append(x)
+            ys.append(y)
+            ks.append(k)
+        order = np.array(ks, dtype=int)
+    # r1 never rises with r2: drop every point a later one beats in r1,
+    # which also absorbs roundoff-scale ascents (flat runs stay)
+    s1 = r1[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[:-1] = s1[:-1] >= np.maximum.accumulate(s1[::-1])[-2::-1]
+    order = order[keep]
+    return (
+        src[order].tolist(), r1[order].tolist(), r2[order].tolist(),
+        (order >= n).tolist(),
+    )
+
+
+def frontier(r1, r2, rho, meta_of, hull=False):
+    """BoundaryCurve of a cloud given as parallel sequences.
+
+    hull=False gives its Pareto frontier (assemble_frontier), hull=True its
+    time-sharing envelope with the axis intercepts (upper_hull).  meta_of(i)
+    returns the metadata dict of input point i; it is called, and
+    RatePoints are built, for the surviving points only.
+    """
+    src, s1, s2, axis = _survivors(
+        r1, r2, hull, lambda i: RatePoint(float(r1[i]), float(r2[i]), rho[i])
+    )
+    return BoundaryCurve(
+        points=[RatePoint(a, b, rho[i]) for i, a, b in zip(src, s1, s2)],
+        metadata=[
+            dict(meta_of(i), intercept=True) if on_axis else meta_of(i)
+            for i, on_axis in zip(src, axis)
+        ],
+        hulled=hull,
+    )
+
+
+def sweeps(*parts):
+    """Concatenate rho sweeps into frontier()'s (r1, r2, rho, meta_of).
+
+    Each part is (r1, r2, rho, labels) with equal-length arrays; point i of
+    a part carries the metadata {"rho": rho[i], **labels}.
+    """
+    r1, r2, rho = (
+        np.concatenate([np.asarray(p[k], dtype=float) for p in parts])
+        for k in range(3)
+    )
+    rho = rho.tolist()
+    ends = np.cumsum([len(p[2]) for p in parts]).tolist()
+
+    def meta_of(i):
+        return {"rho": rho[i], **parts[bisect_right(ends, i)][3]}
+
+    return r1, r2, rho, meta_of
+
+
+def envelope(r1, r2):
+    """(r1, r2) arrays of the rates of upper_hull's points, with no curve."""
+    _, e1, e2, _ = _survivors(r1, r2, True, lambda i: (r1[i], r2[i]))
+    return np.array(e1), np.array(e2)
+
+
+def _of_points(points, metadata, hull):
+    if metadata is None:
+        metadata = [{} for _ in points]
+    pairs = list(zip(points, metadata))
+    r1, r2, rho = ([getattr(p, k) for p, _ in pairs] for k in ("r1", "r2", "rho"))
+    return frontier(r1, r2, rho, lambda i: pairs[i][1], hull)
 
 
 def assemble_frontier(points, metadata=None, hulled=False):
@@ -99,33 +226,9 @@ def assemble_frontier(points, metadata=None, hulled=False):
     but removes points dominated by a later point, which also absorbs
     roundoff-scale ascents.
     """
-    if metadata is None:
-        metadata = [{} for _ in points]
-    pts = [(_clamp_point(p), m) for p, m in zip(points, metadata)]
-    # sort by r2 ascending, ties resolved by larger r1 first
-    pts.sort(key=lambda pm: (pm[0].r2, -pm[0].r1))
-    # drop duplicate r2 values (the first of a tie has the larger r1)
-    dedup = []
-    for p, m in pts:
-        if dedup and p.r2 - dedup[-1][0].r2 <= 1e-15:
-            continue
-        dedup.append((p, m))
-    # remove dominated predecessors: r1 must never rise with r2
-    stack = []
-    for p, m in dedup:
-        while stack and stack[-1][0].r1 < p.r1:
-            stack.pop()
-        stack.append((p, m))
-    return BoundaryCurve(
-        points=[p for p, _ in stack],
-        metadata=[m for _, m in stack],
-        hulled=hulled,
-    )
-
-
-def _cross(o, a, b):
-    """z-component of (a-o) x (b-o) in the (r2, r1) plane."""
-    return (a.r2 - o.r2) * (b.r1 - o.r1) - (a.r1 - o.r1) * (b.r2 - o.r2)
+    curve = _of_points(points, metadata, False)
+    curve.hulled = hulled
+    return curve
 
 
 def upper_hull(points, metadata=None):
@@ -139,37 +242,7 @@ def upper_hull(points, metadata=None):
     """
     if not points:
         raise ValueError("need at least one point")
-    if metadata is None:
-        metadata = [{} for _ in points]
-    pts = [(_clamp_point(p), m) for p, m in zip(points, metadata)]
-
-    i_top = max(range(len(pts)), key=lambda i: pts[i][0].r1)
-    i_right = max(range(len(pts)), key=lambda i: pts[i][0].r2)
-    top, m_top = pts[i_top]
-    right, m_right = pts[i_right]
-    if top.r2 > 0:
-        pts.append((RatePoint(top.r1, 0.0, top.rho), dict(m_top, intercept=True)))
-    if right.r1 > 0:
-        pts.append(
-            (RatePoint(0.0, right.r2, right.rho), dict(m_right, intercept=True))
-        )
-
-    pts.sort(key=lambda pm: (pm[0].r2, -pm[0].r1))
-    dedup = []
-    for p, m in pts:
-        if dedup and p.r2 - dedup[-1][0].r2 <= 1e-15:
-            continue
-        dedup.append((p, m))
-
-    chain = []
-    for p, m in dedup:
-        while len(chain) >= 2 and _cross(chain[-2][0], chain[-1][0], p) > 0.0:
-            chain.pop()
-        chain.append((p, m))
-    # hulling cannot create ascents, but roundoff can; reuse the cleaner
-    return assemble_frontier(
-        [p for p, _ in chain], [m for _, m in chain], hulled=True
-    )
+    return _of_points(points, metadata, True)
 
 
 def dominates(curve_a: BoundaryCurve, curve_b: BoundaryCurve, tol: float):

@@ -1,5 +1,7 @@
 """Config ingestion, presets, CSV emission and exit codes."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -173,6 +175,23 @@ def test_coop_command_tabulates_solutions(tmp_path):
 
 def test_coop_command_rejects_classical_scenario():
     assert main(["coop", "--preset", "fig3a"]) == 2
+
+
+_PINNED_CSVS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "cli_hashes.json"
+)
+
+
+def test_pinned_classical_csvs_are_byte_identical(capsys):
+    # the benchmark's recorded SHA-256 of each pinned command's stdout
+    with open(_PINNED_CSVS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 6
+    for command, want in sorted(pinned.items()):
+        name, preset = command.split()
+        assert main([name, "--preset", preset]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == want, command
 
 
 def test_verify_classical_passes(tmp_path, capsys):

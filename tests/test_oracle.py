@@ -1,5 +1,6 @@
 """Grid oracles: independent brute-force references for every optimizer."""
 
+import numpy as np
 import pytest
 
 import swipt_mac as sm
@@ -79,6 +80,48 @@ def test_coop_oracle_input_screens():
     singular = iv_coop(1e-3, 1.0)  # beta^2*b*c = 1
     with pytest.raises(ValueError):
         sm.oracle_coop_weighted(singular, 0.5, 0.5)
+
+
+def _full_grid_argmax(params, mu1, mu2, grid):
+    """(J, rho, pu1, pu2) of the cooperative grid by an argmax over every
+    point of every rho plane, first maximum in rho and then in C order."""
+    b, c = params.b, params.c
+    beta1, beta2 = params.cost_user1.beta, params.cost_user2.beta
+    k = 1.0 - beta1 * beta2 * b * c
+    pu1 = np.linspace(0.0, params.p_u1_budget, grid)[:, None]
+    pu2 = np.linspace(0.0, params.p_u2_budget, grid)[None, :]
+    q1, q2 = params.p_u1_budget - pu1, params.p_u2_budget - pu2
+    p12, p21 = (q1 - beta1 * c * q2) / k, (q2 - beta2 * b * q1) / k
+    p12c, p21c = np.clip(p12, 0.0, None), np.clip(p21, 0.0, None)
+    r1, r2 = 0.5 * np.log2(1.0 + b * p12c), 0.5 * np.log2(1.0 + c * p21c)
+    fee = params.cost_dest.eval(r1 + r2)
+    s_tot = (params.h1 ** 2 * (p12c + pu1) + params.h2 ** 2 * (p21c + pu2)
+             + 2.0 * params.h1 * params.h2 * np.sqrt(pu1 * pu2))
+    j_plane = np.where((p12 >= 0.0) & (p21 >= 0.0), mu1 * r1 + mu2 * r2, -np.inf)
+    best = (-np.inf, 0.0, 0.0, 0.0)
+    for rho in np.linspace(0.0, 1.0, grid):
+        harvest = params.eh.eval(rho * (s_tot + params.n))
+        cap = 0.5 * np.log2(
+            1.0 + (1.0 - rho) * s_tot / ((1.0 - rho) * params.n + params.n_p)
+        )
+        j = np.where((fee <= harvest + 1e-12) & (r1 + r2 <= cap + 1e-12), j_plane, -np.inf)
+        i, jj = np.unravel_index(int(np.argmax(j)), j.shape)
+        if j[i, jj] > best[0]:
+            best = (float(j[i, jj]), float(rho), float(pu1[i, 0]), float(pu2[0, jj]))
+    return best
+
+
+@pytest.mark.parametrize("mu1", [0.5, 0.2])
+def test_coop_oracle_pruning_keeps_the_full_grid_answer(mu1):
+    # equal budgets and links make mirror-image points tie in J
+    for params in (
+        iv_coop(0.008, 1e-3),
+        iv_coop(0.02, 1e-2, eh=sm.LinearEh(eta=0.6), p_u2_budget=0.3),
+        iv_coop(0.008, 1e-3, cost_dest=sm.ConstCost(2e-4)),
+    ):
+        sol = sm.oracle_coop_weighted(params, mu1, 1.0 - mu1, grid=41)
+        got = (sol.weighted_rate, sol.rho, sol.alloc.pu1, sol.alloc.pu2)
+        assert got == _full_grid_argmax(params, mu1, 1.0 - mu1, 41)
 
 
 def test_coop_oracle_zero_weight_side_is_ignored():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swipt_mac as sm
-from swipt_mac.region import assemble_frontier
+from swipt_mac.region import assemble_frontier, frontier, sweeps
 
 
 def pt(r1, r2, rho=0.5):
@@ -83,6 +85,29 @@ def test_upper_hull_is_concave_and_contains_input_over_random_clouds():
             assert r1[i] >= chord - 1e-9
 
 
+def test_sweeps_build_metadata_for_the_survivors_only():
+    r1, r2, rho, meta_of = sweeps(
+        (np.array([1.0, 0.5, 0.2]), np.array([0.0, 0.5, 0.4]),
+         np.array([0.1, 0.2, 0.3]), {"order": "a", "segment": "s1"}),
+        ([0.0], [1.0], [0.4], {"segment": "s2"}),
+    )
+    for hull in (False, True):
+        calls = []
+        curve = frontier(r1, r2, rho, lambda i: calls.append(i) or meta_of(i), hull)
+        # (0.2, 0.4) lies under (0.5, 0.5): no point or metadata is built for it
+        assert sorted(calls) == [0, 1, 3]
+        assert [list(m.items()) for m in curve.metadata] == [
+            [("rho", 0.1), ("order", "a"), ("segment", "s1")],
+            [("rho", 0.2), ("order", "a"), ("segment", "s1")],
+            [("rho", 0.4), ("segment", "s2")],
+        ]
+        assert [(p.r1, p.r2, p.rho) for p in curve.points] == [
+            (1.0, 0.0, 0.1), (0.5, 0.5, 0.2), (0.0, 1.0, 0.4)
+        ]
+        assert all(type(p.r1) is float for p in curve.points)
+        assert curve.hulled is hull
+
+
 def test_dominates_weak_containment_and_reach():
     outer = sm.upper_hull([pt(1.0, 0.0), pt(0.0, 1.0)])
     inner = sm.upper_hull([pt(0.5, 0.0), pt(0.0, 0.5)])
@@ -117,3 +142,152 @@ def test_hausdorff_known_offset():
     a = sm.BoundaryCurve(points=[pt(1.0, 0.0), pt(1.0, 1.0)])
     b = sm.BoundaryCurve(points=[pt(1.25, 0.0), pt(1.25, 1.0)])
     assert sm.hausdorff(a, b) == pytest.approx(0.25, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# parity with the object-based implementation the array core replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_validate(points):
+    prev = None
+    for p in points:
+        if p.r1 < 0 or p.r2 < 0:
+            raise ValueError(f"negative rate in boundary point {p}")
+        if prev is not None:
+            if not p.r2 > prev.r2:
+                raise ValueError("r2 must be strictly increasing")
+            if p.r1 > prev.r1 + 1e-12:
+                raise ValueError("r1 must be non-increasing")
+        prev = p
+
+
+def _ref_clamp(p):
+    r1, r2 = p.r1, p.r2
+    if r1 < 0:
+        if r1 < -1e-12:
+            raise ValueError(f"negative r1 in {p}")
+        r1 = 0.0
+    if r2 < 0:
+        if r2 < -1e-12:
+            raise ValueError(f"negative r2 in {p}")
+        r2 = 0.0
+    if r1 != p.r1 or r2 != p.r2:
+        return sm.RatePoint(r1, r2, p.rho)
+    return p
+
+
+def _ref_sorted_dedup(pts):
+    pts.sort(key=lambda pm: (pm[0].r2, -pm[0].r1))
+    dedup = []
+    for p, m in pts:
+        if dedup and p.r2 - dedup[-1][0].r2 <= 1e-15:
+            continue
+        dedup.append((p, m))
+    return dedup
+
+
+def _ref_assemble(points, metadata, hulled=False):
+    pts = _ref_sorted_dedup([(_ref_clamp(p), m) for p, m in zip(points, metadata)])
+    stack = []
+    for p, m in pts:
+        while stack and stack[-1][0].r1 < p.r1:
+            stack.pop()
+        stack.append((p, m))
+    _ref_validate([p for p, _ in stack])
+    return [p for p, _ in stack], [m for _, m in stack], hulled
+
+
+def _ref_cross(o, a, b):
+    return (a.r2 - o.r2) * (b.r1 - o.r1) - (a.r1 - o.r1) * (b.r2 - o.r2)
+
+
+def _ref_hull(points, metadata):
+    if not points:
+        raise ValueError("need at least one point")
+    pts = [(_ref_clamp(p), m) for p, m in zip(points, metadata)]
+    top, m_top = pts[max(range(len(pts)), key=lambda i: pts[i][0].r1)]
+    right, m_right = pts[max(range(len(pts)), key=lambda i: pts[i][0].r2)]
+    if top.r2 > 0:
+        pts.append((sm.RatePoint(top.r1, 0.0, top.rho), dict(m_top, intercept=True)))
+    if right.r1 > 0:
+        pts.append((sm.RatePoint(0.0, right.r2, right.rho), dict(m_right, intercept=True)))
+    chain = []
+    for p, m in _ref_sorted_dedup(pts):
+        while len(chain) >= 2 and _ref_cross(chain[-2][0], chain[-1][0], p) > 0.0:
+            chain.pop()
+        chain.append((p, m))
+    return _ref_assemble([p for p, _ in chain], [m for _, m in chain], hulled=True)
+
+
+def _outcome(fn, *args):
+    """Points, metadata (in key order) and flag of a curve, or the error."""
+    try:
+        out = fn(*args)
+    except ValueError as err:
+        return ("error", str(err))
+    if isinstance(out, sm.BoundaryCurve):
+        out = (out.points, out.metadata, out.hulled)
+    points, metadata, hulled = out
+    return (
+        [(p.r1.hex(), p.r2.hex(), p.rho) for p in points],
+        [list(m.items()) for m in metadata],
+        hulled,
+    )
+
+
+_LEVELS = (0.0, 0.1, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, 1.5)
+_RATES = st.one_of(
+    st.sampled_from(_LEVELS),  # repeated values: duplicate r2, flat r1 runs
+    st.floats(0.0, 2.0),
+    # r2 gaps within 1e-15 of a repeated value
+    st.tuples(st.sampled_from(_LEVELS), st.integers(1, 4)).map(
+        lambda bk: bk[0] + bk[1] * 2.5e-16
+    ),
+    # roundoff negatives are clamped, real ones rejected
+    st.sampled_from((-0.0, -1e-13, -1e-12, -1e-6, -0.5)),
+)
+
+
+@st.composite
+def _clouds(draw):
+    pts = draw(st.lists(st.tuples(_RATES, _RATES), max_size=30))
+    # an exactly collinear run: dyadic points on r1 = c - s*r2
+    c, s = draw(st.sampled_from((1.0, 1.5, 2.0))), draw(st.sampled_from((0.25, 0.5, 1.0)))
+    pts += [(c - s * k / 8.0, k / 8.0) for k in draw(st.lists(st.integers(0, 8), max_size=9))]
+    # a run of r2 values 4e-16 apart: each within 1e-15 of its neighbour,
+    # not all within 1e-15 of the first
+    base = draw(st.sampled_from(_LEVELS))
+    pts += [(draw(_RATES), base + k * 4e-16) for k in range(draw(st.integers(0, 6)))]
+    pts = draw(st.permutations(pts))
+    return [sm.RatePoint(r1, r2, 0.01 * i) for i, (r1, r2) in enumerate(pts)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_clouds())
+# a gap of exactly 1e-15 is a duplicate; so is each step of a 4e-16 run
+# until the run has moved more than 1e-15 from the last point kept
+@example([pt(1.0, 0.0, 0.0), pt(0.9, 1e-15, 0.1), pt(0.8, 0.5, 0.2)])
+@example([pt(1.0 - 0.1 * k, 0.5 + k * 4e-16, 0.1 * k) for k in range(6)])
+def test_array_core_matches_the_object_reference(points):
+    metadata = [{"i": i, "rho": p.rho} for i, p in enumerate(points)]
+    r1 = np.array([p.r1 for p in points], dtype=float)
+    r2 = np.array([p.r2 for p in points], dtype=float)
+    rho = [p.rho for p in points]
+    for hull, ref, new in (
+        (False, _ref_assemble, assemble_frontier),
+        (True, _ref_hull, sm.upper_hull),
+    ):
+        want = _outcome(ref, points, metadata)
+        assert _outcome(new, points, metadata) == want
+        # the array entry point the solvers use
+        assert _outcome(frontier, r1, r2, rho, metadata.__getitem__, hull) == want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(_RATES, _RATES), max_size=12))
+def test_boundary_curve_validation_matches_the_point_loop(pairs):
+    points = [sm.RatePoint(r1, r2, 0.5) for r1, r2 in pairs]
+    assert _outcome(sm.BoundaryCurve, points) == _outcome(
+        lambda p: (_ref_validate(p), (p, [{} for _ in p], False))[1], points
+    )
