@@ -41,7 +41,7 @@ from .classical_simul import (
     sumrate_simultaneous,
 )
 from .classical_sic import mdrb_sic, sic_max_sum_at_rho, sic_sumrate_numeric
-from .coop_mac import coop_mdrb, coop_solve_general
+from .coop_mac import _solve, coop_mdrb, coop_solve_general
 from .oracle import oracle_coop_weighted, oracle_sic_sumrate, oracle_simul_sumrate
 
 __all__ = ["ConfigError", "RunConfig", "ingest_config", "PRESETS", "main"]
@@ -456,16 +456,13 @@ def cmd_coop(cfg: RunConfig, out_path: str | None) -> int:
     lines = [
         "mu1,mu2,r1_bits,r2_bits,rho,p12,p21,pu1,pu2,weighted_rate,source,valid"
     ]
-    for t in ts:
-        mu1, mu2 = float(t), float(1.0 - t)
-        if mu1 + mu2 <= 0:
-            continue
-        sol = coop_solve_general(cfg.coop, mu1, mu2, cfg.scan)
+    # every weight pair (t, 1-t) out of one trace of the network
+    for sol in _solve(cfg.coop, [(float(t), float(1.0 - t)) for t in ts], cfg.scan):
         lines.append(
             ",".join(
                 [
-                    _fmt(mu1),
-                    _fmt(mu2),
+                    _fmt(sol.mu1),
+                    _fmt(sol.mu2),
                     _fmt(sol.r1),
                     _fmt(sol.r2),
                     _fmt(sol.rho),

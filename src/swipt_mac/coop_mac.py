@@ -51,6 +51,7 @@ Weighted-rate solves:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -81,6 +82,7 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _BITS = 46  # each bisection stops at a bracket of 2^-_BITS of its axis
+_TOL_FLOOR = math.ulp(0.0)  # the smallest subnormal float (see _tol)
 _P12_STEPS = 8  # p12 grid steps per ScanConfig grid step
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # a zoom level: 16 points on each side
 # the constraints the answer can stop at, in the order _trace tests them,
@@ -239,6 +241,15 @@ def _bisect(bt: _Batch, p12, lo, hi, tol):
     return lo, hi, passes
 
 
+def _tol(axis):
+    """The bisection tolerance on an axis of length `axis`: 2^-_BITS of it,
+    or the smallest subnormal float where that underflows to 0 (an axis
+    of 2^-1029 or less).  A bracket of two adjacent subnormals has its
+    midpoint on an end, so a zero tolerance would never let it close;
+    every bracket wider than the tolerance has its midpoint inside."""
+    return np.maximum(axis * 2.0 ** -_BITS, _TOL_FLOOR)
+
+
 def _neighbours(x, lo, hi, J):
     """Each row's best point (column 1) and its left and right neighbours
     (columns 0 and 2; the point itself at an end), as (x, lo, hi)."""
@@ -270,12 +281,18 @@ def _zoom_points(nb):
     return x, lo, hi
 
 
-def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
-    """Best boundary point of each weight pair (rows of `weights`) in both
-    orientations, as candidate records of the network as given."""
+@functools.lru_cache(maxsize=8)
+def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
+    """The weight-independent stages of the trace, for both orientations
+    as rows: the axis ends p21_end (p12_end is its reverse) and p21*(x)
+    bracketed by [lo, hi] to tol on the p12 grid x, with the number of
+    test batches they took.  The arrays are read-only, since the memo hands
+    them to every later solve of the network.  It keeps no per-network
+    constants: a solve takes those from its own params, which can differ
+    from the key they hit while comparing equal (a budget of -0.0 leaves
+    pu1 = -0.0)."""
     ctxs = (_Ctx(params), _Ctx(params.swapped()))
     both = _Batch(ctxs, np.array([0, 1]))
-    passes = 0
 
     # the axes: p21* at p12 = 0 in each orientation, capped by the budgets;
     # orientation o's p12 axis ends where orientation 1-o's p21 axis does
@@ -284,26 +301,41 @@ def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
         cap = np.minimum(both.bud2[:, 0], np.expm1(2.0 * _LOG2 * r_cap) / both.c[:, 0])
     cap = cap[:, None]
     zero = np.zeros_like(cap)
-    p21_end, _, k = _bisect(both, zero, zero, cap, cap * 2.0 ** -_BITS)
-    passes += k
+    p21_end, _, passes = _bisect(both, zero, zero, cap, _tol(cap))
     p12_end = p21_end[::-1]
 
     # the grid: p21*(p12) at every p12 step of both orientations
     x = p12_end * np.linspace(0.0, 1.0, _P12_STEPS * (scan.grid_points - 1) + 1)
-    tol = p21_end * 2.0 ** -_BITS
+    tol = _tol(p21_end)
     lo = np.zeros_like(x)
     lo[:, :1] = p21_end  # p21*(0) is the axis end
     lo, hi, k = _bisect(both, x, lo, np.broadcast_to(p21_end, x.shape), tol)
-    passes += k
+    arrays = (p21_end, p12_end, x, tol, lo, hi)
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, passes + k)
+
+
+def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
+    """Best boundary point of each weight pair (rows of `weights`) in both
+    orientations, as candidate records of the network as given."""
+    ctxs = (_Ctx(params), _Ctx(params.swapped()))
+    try:
+        hash(params)
+    except TypeError:  # a custom model that cannot be hashed: no memo
+        boundary = _boundary.__wrapped__
+    else:
+        boundary = _boundary
+    p21_end, p12_end, x, tol, lo, hi, passes = boundary(params, scan)
 
     # every weight pair of both orientations is a row from here on
     n_w = weights.shape[0]
     orient = np.repeat([0, 1], n_w)
     mu = np.concatenate([weights, weights[:, ::-1]])[:, :, None]
     bt = _Batch(ctxs, orient)
-    r1, r2 = _rate(both.b * x), _rate(both.c * lo)
-    J = mu[:, 0] * r1[orient] + mu[:, 1] * r2[orient]
-    nb = _neighbours(x[orient], lo[orient], hi[orient], J)
+    xs, los = x[orient], lo[orient]
+    J = mu[:, 0] * _rate(bt.b * xs) + mu[:, 1] * _rate(bt.c * los)
+    nb = _neighbours(xs, los, hi[orient], J)
     tol = tol[orient]
     for _ in range(max(1, scan.refine_iters // 2)):
         x, lo, hi = _zoom_points(nb)
@@ -421,6 +453,14 @@ def coop_solve_general(
       splitting the two p12 cells around the incumbent 16 ways and
       bisecting every new point inside the bracket its neighbours give.
 
+    The axis ends and the grid do not depend on the weights, so a small
+    LRU memo keyed by the network and the scan keeps them (read-only) for
+    the last few networks solved: a repeat solve of a network, at any
+    weights, runs only the zoom, and returns what a first solve would,
+    bit for bit.  A network whose models cannot be hashed is traced afresh
+    on every solve; a model hashed by identity must not change after its
+    first solve.
+
     The returned rho is the low end of the optimal PS-factor interval
     [max(0, rho_min), rho_hi] (notes["rho_interval"]), where the harvest
     covers the fee exactly.  notes["binding"] names the first of budget1,
@@ -430,7 +470,7 @@ def coop_solve_general(
     it to the branch names of earlier solvers: interior for a budget or
     none, cost-tight for fee, balanced for sum-mi and fee+sum-mi, and zero
     for the all-common allocation.  notes["passes"] counts the batches of
-    the feasibility test.
+    the feasibility test, the memoized stages' included.
 
     Both orientations, as given and user-swapped (weights swapped too),
     run as rows of one batch and the better wins (notes["mirrored"]), so

@@ -367,10 +367,10 @@ def test_criterion_8():
 
     worst_sic = 0.0
     for _ in range(50):
-        # the sum-rate solver implements the single-order sweep construction
-        # (stronger user decoded first); that order is fee-optimal for the
-        # convex and additive families drawn here, while a concave fee can
-        # prefer the opposite order (the region builder explores both)
+        # the sum-rate solver sweeps both decoding orders and keeps the
+        # better; the oracle grids both orders independently.  Convex and
+        # additive fees are drawn here; concave fees, where the cheaper
+        # order can be the opposite one, are checked in test_oracle.py
         p = draw([sm.ExpCost, sm.LinCost])
         rep = sm.sic_sumrate_numeric(p)
         orc = sm.oracle_sic_sumrate(p, 1e-5)

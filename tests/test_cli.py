@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import swipt_mac.cli as cli
@@ -171,6 +172,24 @@ def test_coop_command_tabulates_solutions(tmp_path):
         assert wr == pytest.approx(
             mu1 * float(parts[2]) + mu2 * float(parts[3]), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("preset", ["fig5a", "fig5d"])
+def test_coop_command_matches_per_weight_solves(preset, tmp_path):
+    # the command solves all weights from one trace; each row must be what
+    # a solve at that weight alone prints
+    out = tmp_path / "coop.csv"
+    assert main(["coop", "--preset", preset, "--out", str(out)]) == 0
+    cfg = ingest_config(PRESETS[preset])
+    lines = ["mu1,mu2,r1_bits,r2_bits,rho,p12,p21,pu1,pu2,weighted_rate,source,valid"]
+    for t in np.linspace(0.0, 1.0, cfg.weight_count):
+        sol = cli.coop_solve_general(cfg.coop, float(t), float(1.0 - t), cfg.scan)
+        a = sol.alloc
+        nums = (sol.mu1, sol.mu2, sol.r1, sol.r2, sol.rho, a.p12, a.p21, a.pu1, a.pu2,
+                sol.weighted_rate)
+        lines.append(",".join([*map(cli._fmt, nums), sol.source,
+                               "1" if sol.cooperation_valid else "0"]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_coop_command_rejects_classical_scenario():

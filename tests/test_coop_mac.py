@@ -1,7 +1,9 @@
 """Cooperative MAC: weighted-sum-rate solves, the linear-system shortcut,
 constraint slacks and the weighted frontier."""
 
+import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.cli as cli
+import swipt_mac.coop_mac as coop_mac
 from swipt_mac.coop_mac import (
     NonUniqueSolutionError,
     classicalized,
@@ -394,3 +397,126 @@ def test_mdrb_raises_on_an_invalid_solve(monkeypatch):
     monkeypatch.setattr(coop_mac, "_solve", broken)
     with pytest.raises(RuntimeError):
         coop_mdrb(iv_coop(0.008, 1e-3), weights=[(0.5, 0.5)], scan=FAST)
+
+
+# ---------------------------------------------------------------------------
+# the memo of the weight-independent stages
+# ---------------------------------------------------------------------------
+
+
+def _cold_then_warm(solve):
+    """solve() on an empty memo, and again after a solve at other weights
+    left the network's boundary in it."""
+    coop_mac._boundary.cache_clear()
+    cold = solve()
+    coop_mac._boundary.cache_clear()
+    solve(other=True)
+    hits = coop_mac._boundary.cache_info().hits
+    warm = solve()
+    assert coop_mac._boundary.cache_info().hits > hits
+    return cold, warm
+
+
+_MIXED = iv_coop(
+    0.008, 1e-3, h12=0.008, h21=0.004,
+    cost_dest=sm.LinCost(2e-3), cost_user1=sm.LogCost(1e-3), cost_user2=sm.ExpCost(1e-3),
+)
+
+
+# passes: the feasibility-test batches of the whole trace, the memoized
+# stages' batches included, so that warm and cold solves report the same
+@pytest.mark.parametrize(
+    "params, passes",
+    [(iv_coop(0.008, 1e-3, h21=0.004), 281),
+     (iv_coop(0.008, 1e-3, h21=0.004).swapped(), 256), (_MIXED, 281)],
+    ids=["network", "swapped", "mixed-fees"],
+)
+def test_warm_solves_equal_cold_ones(params, passes):
+    def solve(other=False):
+        return coop_solve_general(params, *((0.9, 0.1) if other else (0.3, 0.7)), FAST)
+
+    cold, warm = _cold_then_warm(solve)
+    assert warm == cold  # every field, notes included
+    assert repr(warm) == repr(cold)
+    assert warm.notes["passes"] == passes
+
+
+def test_warm_frontier_equals_a_cold_one():
+    params = iv_coop(0.008, 1e-3, h21=0.004)
+    weights = [(t, 1.0 - t) for t in (0.0, 0.2, 0.5, 0.8, 1.0)]
+
+    def frontier(other=False):
+        return coop_mdrb(params, weights=[(0.6, 0.4)] if other else weights, scan=FAST)
+
+    cold, warm = _cold_then_warm(frontier)
+    assert repr(warm) == repr(cold)
+
+
+def test_warm_solve_takes_its_constants_from_its_own_network():
+    # the two networks hit one memo entry, but a budget of -0.0 leaves
+    # pu1 = -0.0 where one of 0.0 leaves 0.0
+    zero = iv_coop(0.008, 1e-3, p_u1_budget=0.0)
+    minus = iv_coop(0.008, 1e-3, p_u1_budget=-0.0)
+    assert zero == minus
+
+    def solve(other=False):
+        return coop_solve_general(zero if other else minus, 0.5, 0.5, FAST)
+
+    cold, warm = _cold_then_warm(solve)
+    assert repr(warm) == repr(cold)
+    assert math.copysign(1.0, warm.alloc.pu1) == -1.0
+
+
+def test_memo_arrays_are_read_only():
+    *arrays, passes = coop_mac._boundary(iv_coop(0.008, 1e-3), FAST)
+    assert passes > 0
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_memo_stays_bounded():
+    coop_mac._boundary.cache_clear()
+    size = coop_mac._boundary.cache_info().maxsize
+    for k in range(size + 3):
+        coop_solve_general(iv_coop(0.008, 1e-3, p_u1_budget=0.5 + 0.01 * k), 0.5, 0.5, FAST)
+    assert coop_mac._boundary.cache_info().currsize == size
+
+
+class _UnhashableExp(sm.ExpCost):
+    __hash__ = None
+
+
+def test_unhashable_model_is_traced_afresh():
+    coop_mac._boundary.cache_clear()
+    params = iv_coop(0.008, 1e-3, cost_user1=_UnhashableExp(1e-3))
+    sol = coop_solve_general(params, 0.5, 0.5, FAST)
+    assert coop_mac._boundary.cache_info().currsize == 0
+    assert sol == coop_solve_general(iv_coop(0.008, 1e-3), 0.5, 0.5, FAST)
+
+
+@pytest.mark.parametrize("budget", [1e-310, 5e-324])
+@pytest.mark.parametrize("users", ["both", "one"])
+def test_subnormal_budgets_terminate(budget, users):
+    # 2^-46 of a subnormal axis underflows to 0; without a floor on the
+    # tolerance a bracket of two adjacent subnormals would bisect forever
+    fig5a = cli.ingest_config(cli.PRESETS["fig5a"]).coop
+    budgets = (budget, budget if users == "both" else fig5a.p_u2_budget)
+    params = dataclasses.replace(fig5a, p_u1_budget=budgets[0], p_u2_budget=budgets[1])
+
+    def hang(signum, frame):
+        raise TimeoutError("coop_solve_general did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        sol = coop_solve_general(params, 0.5, 0.5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    slacks = coop_constraints_eval(params, sol.alloc, sol.rho, sol.r1, sol.r2)
+    for key, val in slacks.items():
+        assert val >= -1e-9, key
+    # both budgets are spent exactly, the subnormal ones to the last bit
+    for k, bud in enumerate(budgets, 1):
+        assert abs(slacks[f"budget{k}_w"]) <= 1e-12 * bud

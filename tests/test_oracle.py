@@ -33,8 +33,8 @@ def test_sic_oracle_brackets_the_solver_convex_families():
 
 
 def test_sic_oracle_explores_both_orders():
-    # the sweep construction fixes one decoding order; with a concave fee
-    # the opposite order can be strictly cheaper, and the oracle must see it
+    # with a concave fee the opposite decoding order can be strictly
+    # cheaper; the oracle must search both orders, as the solver does
     params = iv_classical(sm.LogCost(1e-3), p1=0.9, p2=0.15)
     rep = sic_sumrate_numeric(params)
     ref = sm.oracle_sic_sumrate(params, rho_step=1e-4)
