@@ -33,14 +33,10 @@ from .models import (
     RatePoint,
     SaturationError,
     SolveReport,
-    cost_eval,
-    cost_inverse,
-    cost_rate_cap,
-    eh_eval,
-    eh_inverse,
 )
 from .numerics import (
     BracketError,
+    ConvergenceError,
     EvaluationError,
     RootConfig,
     ScanConfig,
@@ -49,13 +45,10 @@ from .numerics import (
     critical_points,
     solve_2x2,
 )
-from .region import BoundaryCurve, assemble_frontier, dominates, hausdorff, upper_hull
+from .region import BoundaryCurve, dominates, hausdorff
 from .classical_simul import (
     InfeasibleRegionError,
     SimulBreakpoints,
-    gamma_1,
-    gamma_2,
-    gamma_c,
     mdrb_simultaneous,
     rate_bound_sum,
     rate_bound_user1,
@@ -72,7 +65,6 @@ from .classical_sic import (
     mdrb_sic,
     sic_breakpoints,
     sic_feasible,
-    sic_gamma_c,
     sic_max_sum_at_rho,
     sic_rate_bounds,
     sic_sumrate_closed_form,
@@ -111,15 +103,11 @@ __all__ = [
     "PowerAllocation",
     "RatePoint",
     "SolveReport",
-    "eh_eval",
-    "eh_inverse",
-    "cost_eval",
-    "cost_inverse",
-    "cost_rate_cap",
     # numerics
     "RootConfig",
     "ScanConfig",
     "BracketError",
+    "ConvergenceError",
     "EvaluationError",
     "SingularMatrixError",
     "bisect_root",
@@ -127,8 +115,6 @@ __all__ = [
     "solve_2x2",
     # region
     "BoundaryCurve",
-    "assemble_frontier",
-    "upper_hull",
     "dominates",
     "hausdorff",
     # simultaneous decoding
@@ -137,9 +123,6 @@ __all__ = [
     "rate_bound_user1",
     "rate_bound_user2",
     "rate_bound_sum",
-    "gamma_c",
-    "gamma_1",
-    "gamma_2",
     "simul_feasible",
     "simul_breakpoints",
     "mdrb_simultaneous",
@@ -150,7 +133,6 @@ __all__ = [
     "SicBreakpoints",
     "SicClosedForm",
     "sic_rate_bounds",
-    "sic_gamma_c",
     "sic_feasible",
     "sic_breakpoints",
     "mdrb_sic",

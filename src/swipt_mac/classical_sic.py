@@ -8,8 +8,8 @@ for concave families dearer, and for the linear family identical.
 
 Breakpoints again come from monotone cost-space residuals
     psi(rho*a) - sum of phi(bound(rho))
-bracketed on [0,1]; the literal form (1/rho)*psi^{-1}(...) is exposed for
-residual reporting.
+bracketed on [0,1]; the paper's literal balancing form
+(1/rho)*psi^{-1}(...) is kept in the tests as their reference.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .models import (
     LinearEh,
     RatePoint,
     SolveReport,
-    cost_rate_cap,
 )
 from .numerics import RootConfig, ScanConfig, bisect_root, critical_points
 from .classical_simul import (
     InfeasibleRegionError,
-    rate_bound_user1,
-    rate_bound_user2,
+    _const_threshold_rho,
+    _snr_bound,
 )
 from .region import BoundaryCurve, frontier, sweeps
 
@@ -42,7 +41,6 @@ __all__ = [
     "SicBreakpoints",
     "SicClosedForm",
     "sic_rate_bounds",
-    "sic_gamma_c",
     "sic_feasible",
     "sic_breakpoints",
     "mdrb_sic",
@@ -107,18 +105,11 @@ def sic_rate_bounds(params: ClassicalParams, rho, order: DecodingOrder):
     rho gives floats.
     """
     s1, s2 = params.h1_sq * params.p1, params.h2_sq * params.p2
-    s_first, s_second = (s1, s2) if order == DecodingOrder.USER1_FIRST else (s2, s1)
-    n, n_p = params.n, params.n_p
-    y = 1.0 - np.asarray(rho, dtype=float)
-    b_first = 0.5 * np.log2(1.0 + y * s_first / (y * (s_second + n) + n_p))
-    b_second = 0.5 * np.log2(1.0 + y * s_second / (y * n + n_p))
-    if order == DecodingOrder.USER1_FIRST:
-        b1, b2 = b_first, b_second
-    else:
-        b1, b2 = b_second, b_first
-    if b1.ndim:
-        return b1, b2
-    return float(b1), float(b2)
+    first = order == DecodingOrder.USER1_FIRST
+    s_first, s_second = (s1, s2) if first else (s2, s1)
+    b_first = _snr_bound(s_first, s_second + params.n, params.n_p, rho)
+    b_second = _snr_bound(s_second, params.n, params.n_p, rho)
+    return (b_first, b_second) if first else (b_second, b_first)
 
 
 def sic_feasible(params: ClassicalParams, point: RatePoint, order: DecodingOrder, tol=1e-12):
@@ -132,16 +123,6 @@ def sic_feasible(params: ClassicalParams, point: RatePoint, order: DecodingOrder
     cost = params.cost
     used = cost.eval(r1) + cost.eval(r2)
     return used <= params.eh.eval(rho * params.a) + tol
-
-
-def sic_gamma_c(params: ClassicalParams, x, order: DecodingOrder):
-    """Literal balancing function (1/x)*psi^{-1}(phi(b1(x)) + phi(b2(x)));
-    its root at level a gives rho_c."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError("gamma is defined on (0, 1]")
-    b1, b2 = sic_rate_bounds(params, x, order)
-    need = params.cost.eval(b1) + params.cost.eval(b2)
-    return params.eh.inverse(need) / x
 
 
 def _sic_balance_root(params, order, include_first, include_second, what):
@@ -171,30 +152,10 @@ def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpo
     """Solve the three sweep-delimiting equations for one decoding order."""
     if isinstance(params.cost, ConstCost):
         phi0 = params.cost.phi0
-        psi_a = params.eh.eval(params.a)
-        if psi_a < phi0:
-            raise InfeasibleRegionError(
-                "harvest psi(a) below the single decoding fee: empty region"
-            )
-        single = (
-            0.0
-            if phi0 == 0.0
-            else bisect_root(
-                lambda x: params.eh.eval(x * params.a) - phi0, 0.0, 1.0, _ROOT
-            )
-        )
-        if psi_a >= 2.0 * phi0:
-            both = (
-                0.0
-                if phi0 == 0.0
-                else bisect_root(
-                    lambda x: params.eh.eval(x * params.a) - 2.0 * phi0,
-                    0.0,
-                    1.0,
-                    _ROOT,
-                )
-            )
-        else:
+        single = _const_threshold_rho(params, phi0, "single")
+        try:
+            both = _const_threshold_rho(params, 2.0 * phi0, "double")
+        except InfeasibleRegionError:
             both = math.nan  # double fee never affordable
         return SicBreakpoints(
             rho_c=both, rho_1=single, rho_2=single, decoding_order=order
@@ -231,11 +192,11 @@ def _order_segments(params, order, n_points):
 
     rho_a = np.linspace(bp.rho_1, bp.rho_c, n_points)
     b1_a, b2_a = sic_rate_bounds(params, rho_a, order)
-    r1_a = cost_rate_cap(cost, psi(rho_a) - cost.eval(b2_a), b1_a)
+    r1_a = cost.rate_cap(psi(rho_a) - cost.eval(b2_a), b1_a)
 
     rho_b = np.linspace(bp.rho_2, bp.rho_c, n_points)
     b1_b, b2_b = sic_rate_bounds(params, rho_b, order)
-    r2_b = cost_rate_cap(cost, psi(rho_b) - cost.eval(b1_b), b2_b)
+    r2_b = cost.rate_cap(psi(rho_b) - cost.eval(b1_b), b2_b)
     return [
         (r1_a, b2_a, rho_a, {"order": tag, "segment": "user2-pinned"}),
         (b1_b, r2_b, rho_b, {"order": tag, "segment": "user1-pinned"}),
@@ -287,11 +248,11 @@ def sic_max_sum_at_rho(params: ClassicalParams, rho: float):
             left = budget - cost.eval(pinned)
             if left < 0.0:
                 continue
-            cand = pinned + cost_rate_cap(cost, left, other_cap)
+            cand = pinned + cost.rate_cap(left, other_cap)
             if cand > best:
                 best, tag = cand, "cost"
         # symmetric split (interior optimum for convex families)
-        half = cost_rate_cap(cost, budget / 2.0, min(b1, b2))
+        half = cost.rate_cap(budget / 2.0, min(b1, b2))
         if 2.0 * half > best:
             best, tag = 2.0 * half, "cost"
     return best, tag
@@ -317,7 +278,7 @@ def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None)
             b1, b2 = sic_rate_bounds(params, rho, order)
             pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
             left = eh.eval(rho * a) - cost.eval(pinned)
-            return np.where(left < 0.0, -np.inf, pinned + cost_rate_cap(cost, left, cap))
+            return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
 
         return f
 

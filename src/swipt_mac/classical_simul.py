@@ -9,8 +9,9 @@ rho_c, where harvested power affords exactly the sum-rate bound.
 All breakpoint equations are solved on the monotone cost-space residual
     psi(rho*a) - phi(bound(rho))
 which is bracketed on [0,1] for every cost family and free of the numeric
-blow-ups of the literal exponential forms (those are still evaluated, in
-log2 space, for residual reporting).
+blow-ups of the paper's literal balancing functions gamma_c, gamma_1 and
+gamma_2 (the tests keep those as the reference the breakpoints are checked
+against).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .models import (
     LinearEh,
     RatePoint,
     SolveReport,
-    cost_rate_cap,
 )
 from .numerics import RootConfig, bisect_root
 from .region import BoundaryCurve, envelope, frontier, sweeps
@@ -38,9 +38,6 @@ __all__ = [
     "rate_bound_user1",
     "rate_bound_user2",
     "rate_bound_sum",
-    "gamma_c",
-    "gamma_1",
-    "gamma_2",
     "simul_feasible",
     "simul_breakpoints",
     "mdrb_simultaneous",
@@ -75,8 +72,14 @@ class SimulBreakpoints:
 
 
 def _snr_bound(signal, noise, n_p, x):
-    """(1/2)*log2(1 + (1-x)*signal / ((1-x)*noise + n_p)) for scalar/array x."""
-    y = 1.0 - np.asarray(x, dtype=float)
+    """(1/2)*log2(1 + (1-x)*signal / ((1-x)*noise + n_p)) for scalar/array x.
+
+    Every solver's rate bound of the decoded (1-rho) stream goes through
+    here; the oracles keep their own formulas on purpose.  A float x stays
+    a Python float up to the log: its arithmetic rounds as float64's does,
+    and costs a fraction of a numpy scalar's in the scalar root loops.
+    """
+    y = 1.0 - (x if isinstance(x, float) else np.asarray(x, dtype=float))
     out = 0.5 * np.log2(1.0 + y * signal / (y * noise + n_p))
     return out if out.ndim else float(out)
 
@@ -99,48 +102,6 @@ def rate_bound_sum(params: ClassicalParams, rho, drop_denominator_noise=False):
     """
     noise = 0.0 if drop_denominator_noise else params.n
     return _snr_bound(params.a - params.n, noise, params.n_p, rho)
-
-
-# ---------------------------------------------------------------------------
-# literal breakpoint functions (reported residuals use these)
-# ---------------------------------------------------------------------------
-
-
-def _affordable_sum_rate(params: ClassicalParams, x):
-    cost = params.cost
-    if isinstance(cost, ConstCost):
-        raise TypeError(
-            "literal breakpoint functions are undefined for the constant "
-            "cost family (indicator logic applies instead)"
-        )
-    return cost.inverse(params.eh.eval(x * params.a))
-
-
-def gamma_c(params: ClassicalParams, x):
-    """Literal balancing function; its root at level n_p gives rho_c.
-
-    gamma_c(x) = 2^(2*phi^{-1}(psi(x*a))) * ((1-x)*n + n_p) - (1-x)*a.
-    Evaluated via the exponent in bits with an overflow guard (tiny-beta
-    concave costs can push the exponent past float range).
-    """
-    t = 2.0 * _affordable_sum_rate(params, x)
-    if t > 1000.0:
-        return math.inf
-    return math.pow(2.0, t) * ((1.0 - x) * params.n + params.n_p) - (
-        1.0 - x
-    ) * params.a
-
-
-def gamma_1(params: ClassicalParams, x):
-    """gamma_c shifted by user 1's received power; root gives rho_1."""
-    g = gamma_c(params, x)
-    return g + (1.0 - x) * params.h1_sq * params.p1 if math.isfinite(g) else g
-
-
-def gamma_2(params: ClassicalParams, x):
-    """gamma_c shifted by user 2's received power; root gives rho_2."""
-    g = gamma_c(params, x)
-    return g + (1.0 - x) * params.h2_sq * params.p2 if math.isfinite(g) else g
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +204,7 @@ def _convexity_holds(params, p_lo, p_hi):
     if p_hi <= p_lo:
         return True
     p = np.linspace(p_lo, p_hi, 257)
-    u = cost_rate_cap(params.cost, params.eh.eval(p), np.inf)
+    u = params.cost.rate_cap(params.eh.eval(p), np.inf)
     d2 = np.diff(u, 2)
     scale = max(1.0, float(np.max(np.abs(u))))
     return bool(np.all(d2 >= -1e-9 * scale))
@@ -284,7 +245,7 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     eh, cost, a = params.eh, params.cost, params.a
 
     def affordable(rho_arr):
-        return cost_rate_cap(cost, eh.eval(np.asarray(rho_arr) * a), np.inf)
+        return cost.rate_cap(eh.eval(np.asarray(rho_arr) * a), np.inf)
 
     # sweep with user 2 pinned at its individual bound (R1 grows from 0)
     rho1_grid = np.linspace(bp.rho_1, bp.rho_c, n_points)

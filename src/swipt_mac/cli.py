@@ -31,7 +31,6 @@ from .models import (
     LogCost,
     LogisticEh,
     ModelDomainError,
-    cost_rate_cap,
 )
 from .numerics import ScanConfig
 from .classical_simul import (
@@ -105,7 +104,6 @@ PRESETS = {
         "cost_beta": "-30dB",
         "h_u": "0.008",
         "weight_count": "25",
-        "solver": "general",
     },
     "fig5b": {
         **_BASE,
@@ -114,7 +112,6 @@ PRESETS = {
         "cost_beta": "-27dB",
         "h_u": "0.008",
         "weight_count": "25",
-        "solver": "general",
     },
     "fig5c": {
         **_BASE,
@@ -123,7 +120,6 @@ PRESETS = {
         "cost_beta": "-24dB",
         "h_u": "0.008",
         "weight_count": "25",
-        "solver": "general",
     },
     "fig5d": {
         **_BASE,
@@ -132,7 +128,6 @@ PRESETS = {
         "cost_beta": "-21dB",
         "h_u": "0.008",
         "weight_count": "25",
-        "solver": "general",
     },
 }
 
@@ -146,12 +141,11 @@ _KNOWN_KEYS = {
     "p1", "p2", "p_u1_budget", "p_u2_budget",
     "n", "n_p", "n1", "n2",
     "rho_points", "rho_max", "region_points",
-    "weight_count", "scan_points", "scan_refine", "solver",
+    "weight_count", "scan_points", "scan_refine",
     "mu1", "mu2", "oracle_rho_step", "oracle_grid",
     "out",
 }
 
-_STRING_KEYS = {"scenario", "eh_model", "cost_model", "cost_user_model", "solver", "out"}
 _INT_KEYS = {"rho_points", "region_points", "weight_count", "scan_points",
              "scan_refine", "oracle_grid"}
 
@@ -169,7 +163,6 @@ class RunConfig:
     weight_count: int = 25
     scan_points: int = 61
     scan_refine: int = 24
-    solver: str = "general"
     mu1: float = 0.5
     mu2: float = 0.5
     oracle_rho_step: float = 1e-5
@@ -296,10 +289,6 @@ def ingest_config(kv: dict) -> RunConfig:
     for key in ("rho_max", "mu1", "mu2", "oracle_rho_step"):
         if key in kv:
             setattr(cfg, key, _parse_number(key, kv[key]))
-    if "solver" in kv:
-        if kv["solver"] not in ("closed", "general"):
-            raise ConfigError("solver", f"unknown solver {kv['solver']!r}")
-        cfg.solver = kv["solver"]
     cfg.out = kv.get("out")
     if not 0.0 < cfg.rho_max <= 1.0:
         raise ConfigError("rho_max", "must lie in (0, 1]")
@@ -411,7 +400,7 @@ def cmd_region(cfg: RunConfig, out_path: str | None) -> int:
     else:
         ts = np.linspace(0.0, 1.0, cfg.weight_count)
         weights = [(float(t), float(1.0 - t)) for t in ts]
-        curve = coop_mdrb(cfg.coop, weights=weights, solver=cfg.solver, scan=cfg.scan)
+        curve = coop_mdrb(cfg.coop, weights=weights, scan=cfg.scan)
         tag = lambda m: f"mu1={_fmt(m.get('mu1', ''))};mu2={_fmt(m.get('mu2', ''))}"
     lines = [header]
     if not curve.points:
@@ -434,7 +423,7 @@ def cmd_sumrate(cfg: RunConfig, out_path: str | None) -> int:
     if cfg.scenario == "classical-simul":
         bound = rate_bound_sum(params, rhos)
         psi = params.eh.eval(rhos * params.a)
-        sums = cost_rate_cap(params.cost, psi, bound)
+        sums = params.cost.rate_cap(psi, bound)
         for rho, s_val, b_val in zip(rhos, sums, bound):
             binding = "cost" if s_val < b_val - 1e-15 else "rate"
             lines.append(f"{_fmt(float(rho))},{_fmt(float(s_val))},{binding}")

@@ -65,10 +65,10 @@ from .models import (
     NoInverseError,
     PowerAllocation,
     SaturationError,
-    cost_rate_cap,
 )
 from .numerics import ScanConfig, SingularMatrixError, solve_2x2
 from .region import BoundaryCurve, frontier
+from .classical_simul import _snr_bound
 
 __all__ = [
     "NonUniqueSolutionError",
@@ -154,11 +154,6 @@ def _s_total(ctx, p12, p21, pu1, pu2):
         + ctx.hh2 * (p21 + pu2)
         + ctx.hh12 * np.sqrt(pu1 * pu2)
     )
-
-
-def _mi_sum(ctx, rho, s):
-    y = 1.0 - rho
-    return 0.5 * np.log2(1.0 + y * s / (y * ctx.n + ctx.n_p))
 
 
 _CONSTS = ("b", "c", "hh1", "hh2", "hh12", "bud1", "bud2")
@@ -297,7 +292,7 @@ def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
     # the axes: p21* at p12 = 0 in each orientation, capped by the budgets;
     # orientation o's p12 axis ends where orientation 1-o's p21 axis does
     with np.errstate(over="ignore"):
-        r_cap = np.array([cost_rate_cap(ctx.p.cost_user1, ctx.bud1, np.inf) for ctx in ctxs])
+        r_cap = np.array([ctx.p.cost_user1.rate_cap(ctx.bud1, np.inf) for ctx in ctxs])
         cap = np.minimum(both.bud2[:, 0], np.expm1(2.0 * _LOG2 * r_cap) / both.c[:, 0])
     cap = cap[:, None]
     zero = np.zeros_like(cap)
@@ -493,8 +488,8 @@ def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSo
     stationarity conditions makes the system degenerate (see module
     docstring): its solution always sits at 1+b*p12 = 1+c*p21 = 0, so the
     validity screen rejects it whenever mu1*mu2 > 0 and beta^2*b*c != 1.
-    Kept exact and faithful precisely so that screening-and-rerouting
-    behaviour is testable.
+    Kept exact and faithful precisely so that the screen's verdict is
+    testable; coop_solve_general is the solver.
     """
     costs = (params.cost_dest, params.cost_user1, params.cost_user2)
     if not all(isinstance(cm, ExpCost) for cm in costs):
@@ -504,8 +499,7 @@ def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSo
         raise TypeError("linear-system shortcut needs a common beta")
     if not isinstance(params.eh, LinearEh):
         raise TypeError("linear-system shortcut needs the linear EH model")
-    if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
-        raise ValueError("weights must be non-negative and not both zero")
+    _check_weights(mu1, mu2)
 
     b, c = params.b, params.c
     k = 1.0 - beta * beta * b * c
@@ -561,7 +555,7 @@ def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSo
             else math.nan
         ),
         "sum_mi_bits": (
-            float(_mi_sum(_Ctx(params), rho, s)) - (r1 + r2) if in_unit else math.nan
+            _snr_bound(s, params.n, params.n_p, rho) - (r1 + r2) if in_unit else math.nan
         ),
     }
     valid = min(p12, p21, pu1, pu2) >= -1e-12 and 0.0 <= rho <= 1.0
@@ -625,7 +619,7 @@ def coop_constraints_eval(
     slacks = {
         "link1_bits": _rate(ctx.b * max(p12, 0.0)) - r1,
         "link2_bits": _rate(ctx.c * max(p21, 0.0)) - r2,
-        "sum_mi_bits": _mi_sum(ctx, rho, s) - (r1 + r2),
+        "sum_mi_bits": _snr_bound(s, ctx.n, ctx.n_p, rho) - (r1 + r2),
         "dest_cost_w": ctx.eh.eval(rho * (s + ctx.n)) - ctx.phid(r1 + r2),
         "budget1_w": ctx.bud1 - (p12 + pu1 + ctx.phi1(r2)),
         "budget2_w": ctx.bud2 - (p21 + pu2 + ctx.phi2(r1)),
@@ -649,39 +643,18 @@ def classicalized(params: CoopParams) -> ClassicalParams:
 
 
 def coop_mdrb(
-    params: CoopParams,
-    weights=None,
-    solver: str = "general",
-    scan: ScanConfig | None = None,
+    params: CoopParams, weights=None, scan: ScanConfig | None = None
 ) -> BoundaryCurve:
     """Weighted-sum-rate sweep of the cooperative frontier.
 
     The feasible boundary does not depend on the weights, so every weight
-    pair the general solver handles comes out of one trace (see
-    coop_solve_general).  solver="closed" tries the linear-system shortcut
-    first and hands a weight pair to the general solver whenever the
-    screen rejects it (in practice always; see module docstring).  Raises
+    pair comes out of one trace (see coop_solve_general).  Raises
     RuntimeError if a solve ever comes back invalid.
     """
-    if solver not in ("closed", "general"):
-        raise ValueError(f"unknown solver {solver!r}")
     if weights is None:
         ts = np.linspace(0.0, 1.0, 101)
         weights = [(float(t), float(1.0 - t)) for t in ts]
-    sols = {}
-    for i, (mu1, mu2) in enumerate(weights):
-        _check_weights(mu1, mu2)
-        if solver == "closed":
-            try:
-                sol = coop_solve_closed_form(params, mu1, mu2)
-            except (TypeError, NonUniqueSolutionError):
-                continue
-            if sol.cooperation_valid and sol.sum_bound_satisfied:
-                sols[i] = sol
-    todo = [i for i in range(len(weights)) if i not in sols]
-    if todo:
-        sols.update(zip(todo, _solve(params, [weights[i] for i in todo], scan)))
-    sols = [sols[i] for i in range(len(weights))]
+    sols = _solve(params, weights, scan)
     for sol in sols:
         if not sol.cooperation_valid:
             raise RuntimeError(

@@ -40,10 +40,6 @@ __all__ = [
     "PowerAllocation",
     "RatePoint",
     "SolveReport",
-    "eh_eval",
-    "eh_inverse",
-    "cost_eval",
-    "cost_inverse",
 ]
 
 
@@ -308,6 +304,22 @@ class CostModel:
     def inverse(self, p):
         raise NotImplementedError
 
+    def rate_cap(self, p_dc, cap):
+        """min(inverse(p_dc), cap) with the UNBOUNDED sentinel resolved to
+        cap, vectorized.
+
+        `p_dc` is the power available for decoding, `cap` the
+        mutual-information ceiling on the rate.  Broadcasting applies.
+        Negative available power is treated as 0 (nothing affordable).
+        """
+        p_dc = np.asarray(p_dc, dtype=float)
+        out = self._cap(np.maximum(p_dc, 0.0), np.asarray(cap, dtype=float))
+        return _unwrap(np.where(p_dc < 0, 0.0, out))
+
+    def _cap(self, p, cap):
+        """rate_cap on non-negative power arrays."""
+        raise NotImplementedError
+
 
 def _check_power(p):
     if p < 0:
@@ -340,6 +352,9 @@ class ExpCost(CostModel):
         p = _check_power(p)
         return 0.5 * math.log1p(p / self.beta) / _LOG2
 
+    def _cap(self, p, cap):
+        return np.minimum(0.5 * np.log1p(p / self.beta) / _LOG2, cap)
+
 
 @dataclass(frozen=True)
 class LogCost(CostModel):
@@ -366,6 +381,9 @@ class LogCost(CostModel):
         p = _check_power(p)
         return 0.5 * math.expm1(_LOG2 * p / self.beta)
 
+    def _cap(self, p, cap):
+        return np.minimum(0.5 * np.expm1(_LOG2 * p / self.beta), cap)
+
 
 @dataclass(frozen=True)
 class LinCost(CostModel):
@@ -391,6 +409,9 @@ class LinCost(CostModel):
     def inverse(self, p):
         p = _check_power(p)
         return 0.5 * p / self.beta
+
+    def _cap(self, p, cap):
+        return np.minimum(0.5 * p / self.beta, cap)
 
 
 @dataclass(frozen=True)
@@ -423,58 +444,8 @@ class ConstCost(CostModel):
             return 0.0
         return UNBOUNDED
 
-
-# ---------------------------------------------------------------------------
-# Module-level dispatch (the public operation surface)
-# ---------------------------------------------------------------------------
-
-
-def eh_eval(model: EhModel, p_in):
-    """Harvested DC power psi(p_in). Vectorizes over p_in."""
-    return model.eval(p_in)
-
-
-def eh_inverse(model: EhModel, p_dc):
-    """Unique input power with psi(p_in) = p_dc (scalar)."""
-    return model.inverse(p_dc)
-
-
-def cost_eval(model: CostModel, r):
-    """Decoding power phi(r). Vectorizes over r."""
-    return model.eval(r)
-
-
-def cost_inverse(model: CostModel, p):
-    """Generalized inverse sup{R >= 0 : phi(R) <= p} (scalar).
-
-    For the constant family this is 0 or the UNBOUNDED sentinel.
-    """
-    return model.inverse(p)
-
-
-def cost_rate_cap(model: CostModel, p_dc, cap):
-    """min(cost_inverse(p_dc), cap) with sentinel handling, vectorized.
-
-    `p_dc` is the power available for decoding, `cap` the mutual-information
-    ceiling on the rate.  Broadcasting applies.  Negative available power is
-    treated as 0 (nothing affordable).
-    """
-    p_dc = np.asarray(p_dc, dtype=float)
-    cap = np.asarray(cap, dtype=float)
-    p = np.maximum(p_dc, 0.0)
-    if isinstance(model, ConstCost):
-        out = np.where(p >= model.phi0, cap, 0.0)
-    elif isinstance(model, ExpCost):
-        out = np.minimum(0.5 * np.log1p(p / model.beta) / _LOG2, cap)
-    elif isinstance(model, LogCost):
-        out = np.minimum(0.5 * np.expm1(_LOG2 * p / model.beta), cap)
-    elif isinstance(model, LinCost):
-        out = np.minimum(0.5 * p / model.beta, cap)
-    else:  # pragma: no cover - future families
-        out = np.minimum(
-            np.vectorize(lambda x: model.inverse(x))(p), cap
-        )
-    return _unwrap(np.where(p_dc < 0, 0.0, out))
+    def _cap(self, p, cap):
+        return np.where(p >= self.phi0, cap, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ __all__ = [
     "RootConfig",
     "ScanConfig",
     "BracketError",
+    "ConvergenceError",
     "EvaluationError",
     "SingularMatrixError",
     "bisect_root",
@@ -28,6 +29,10 @@ __all__ = [
 
 class BracketError(RuntimeError):
     """The supplied interval does not bracket a sign change."""
+
+
+class ConvergenceError(RuntimeError):
+    """bisect_root used up max_iter before its bracket closed to abs_tol."""
 
 
 class EvaluationError(RuntimeError):
@@ -75,9 +80,10 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     """Root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
 
     Plain bisection: halves the bracket until its width is below
-    cfg.abs_tol (or max_iter is hit) and returns the midpoint.  Raises
-    BracketError when the endpoints do not straddle zero and
-    EvaluationError on NaN.
+    cfg.abs_tol and returns the midpoint.  Raises BracketError when the
+    endpoints do not straddle zero, EvaluationError on NaN and
+    ConvergenceError when max_iter halvings leave the bracket wider than
+    abs_tol (a tolerance below the float spacing at the root never closes).
     """
     flo = f(lo)
     fhi = f(hi)
@@ -92,9 +98,9 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
     for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
         if hi - lo < cfg.abs_tol:
-            return mid
+            break
+        mid = 0.5 * (lo + hi)
         fm = f(mid)
         if math.isnan(fm):
             raise EvaluationError(f"NaN at x={mid}")
@@ -104,6 +110,11 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
             hi = mid
         else:
             lo, flo = mid, fm
+    if hi - lo >= cfg.abs_tol:
+        raise ConvergenceError(
+            f"bracket [{lo}, {hi}] still wider than {cfg.abs_tol} "
+            f"after {cfg.max_iter} iterations"
+        )
     return 0.5 * (lo + hi)
 
 

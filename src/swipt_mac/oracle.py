@@ -25,7 +25,6 @@ from .models import (
     ExpCost,
     PowerAllocation,
     SolveReport,
-    cost_rate_cap,
 )
 from .coop_mac import CoopSolution, coop_constraints_eval
 
@@ -53,7 +52,7 @@ def oracle_simul_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Sol
     a, n, n_p = params.a, params.n, params.n_p
     bound = 0.5 * np.log2(1.0 + y * (a - n) / (y * n + n_p))
     psi = params.eh.eval(rho * a)
-    sums = cost_rate_cap(params.cost, psi, bound)
+    sums = params.cost.rate_cap(psi, bound)
     i = int(np.argmax(sums))
     return SolveReport(
         rho_opt=float(rho[i]),
@@ -93,17 +92,15 @@ def oracle_sic_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Solve
             ),
             "pin-second": np.where(
                 psi >= phi_s,
-                b_second + cost_rate_cap(cost, psi - phi_s, b_first),
+                b_second + cost.rate_cap(psi - phi_s, b_first),
                 neg,
             ),
             "pin-first": np.where(
                 psi >= phi_f,
-                b_first + cost_rate_cap(cost, psi - phi_f, b_second),
+                b_first + cost.rate_cap(psi - phi_f, b_second),
                 neg,
             ),
-            "symmetric": 2.0 * cost_rate_cap(
-                cost, psi / 2.0, np.minimum(b_first, b_second)
-            ),
+            "symmetric": 2.0 * cost.rate_cap(psi / 2.0, np.minimum(b_first, b_second)),
         }
         if isinstance(cost, ConstCost):
             # symmetric split is meaningless for a fee; single-user points

@@ -11,8 +11,7 @@ Clouds are processed as arrays by one core that clamps roundoff
 negatives, sorts, drops near-duplicate r2 values, optionally runs the
 monotone chain, Pareto-cleans and returns the indices of the points that
 survive; RatePoints and metadata dicts are built for those points only.
-The solvers hand their rho sweeps to frontier() (see sweeps());
-upper_hull and assemble_frontier run the same core on RatePoint lists.
+The solvers hand their rho sweeps to frontier() (see sweeps()).
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ import numpy as np
 
 from .models import RatePoint
 
-__all__ = [
-    "BoundaryCurve", "assemble_frontier", "upper_hull", "frontier", "sweeps",
-    "envelope", "dominates", "hausdorff",
-]
+__all__ = ["BoundaryCurve", "frontier", "sweeps", "envelope", "dominates", "hausdorff"]
 
 _NEG_TOL = 1e-12  # clamp threshold for tiny negative rates from roundoff
 _DUP_R2 = 1e-15  # r2 values closer than this to the last kept one are duplicates
@@ -168,8 +164,9 @@ def _survivors(r1, r2, hull, point_of):
 def frontier(r1, r2, rho, meta_of, hull=False):
     """BoundaryCurve of a cloud given as parallel sequences.
 
-    hull=False gives its Pareto frontier (assemble_frontier), hull=True its
-    time-sharing envelope with the axis intercepts (upper_hull).  meta_of(i)
+    hull=False gives its Pareto frontier (flat runs kept), hull=True its
+    time-sharing envelope with the axis intercepts, tagged intercept=True
+    (collinear points kept; an empty cloud raises ValueError).  meta_of(i)
     returns the metadata dict of input point i; it is called, and
     RatePoints are built, for the surviving points only.
     """
@@ -206,43 +203,10 @@ def sweeps(*parts):
 
 
 def envelope(r1, r2):
-    """(r1, r2) arrays of the rates of upper_hull's points, with no curve."""
+    """(r1, r2) arrays of the rates of frontier(..., hull=True)'s points,
+    with no curve."""
     _, e1, e2, _ = _survivors(r1, r2, True, lambda i: (r1[i], r2[i]))
     return np.array(e1), np.array(e2)
-
-
-def _of_points(points, metadata, hull):
-    if metadata is None:
-        metadata = [{} for _ in points]
-    pairs = list(zip(points, metadata))
-    r1, r2, rho = ([getattr(p, k) for p, _ in pairs] for k in ("r1", "r2", "rho"))
-    return frontier(r1, r2, rho, lambda i: pairs[i][1], hull)
-
-
-def assemble_frontier(points, metadata=None, hulled=False):
-    """Sort, deduplicate and Pareto-clean a point cloud into a BoundaryCurve.
-
-    Keeps flat runs (constant r1 over increasing r2 is a legitimate face)
-    but removes points dominated by a later point, which also absorbs
-    roundoff-scale ascents.
-    """
-    curve = _of_points(points, metadata, False)
-    curve.hulled = hulled
-    return curve
-
-
-def upper_hull(points, metadata=None):
-    """Upper concave envelope of a rate-point cloud, with axis intercepts.
-
-    Monotone-chain over points sorted by r2; a chain point is removed only
-    when it lies strictly below the chord of its neighbours, so collinear
-    points survive (degenerate hulls stay fully sampled).  The input is
-    augmented with (r2=0, max r1) and (max r2, r1=0) before hulling, which
-    is how time sharing against the single-user extremes closes the region.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    return _of_points(points, metadata, True)
 
 
 def dominates(curve_a: BoundaryCurve, curve_b: BoundaryCurve, tol: float):

@@ -18,7 +18,6 @@ from swipt_mac.cli import PRESETS, ingest_config
 from swipt_mac.classical_simul import rate_bound_sum, simul_feasible
 from swipt_mac.classical_sic import DecodingOrder, sic_feasible
 from swipt_mac.coop_mac import classicalized
-from swipt_mac.models import cost_rate_cap
 from swipt_mac.numerics import ScanConfig
 
 from conftest import iv_classical, iv_coop, iv_eh
@@ -184,7 +183,7 @@ def test_criterion_5():
     rhos = np.linspace(0.0, cfg.rho_max, cfg.rho_points)
     bound = rate_bound_sum(params, rhos)
     psi = params.eh.eval(rhos * params.a)
-    sums = cost_rate_cap(params.cost, psi, bound)
+    sums = params.cost.rate_cap(psi, bound)
     plateau = params.cost.inverse(params.eh.p_max_dc)
     tail = sums[-(cfg.rho_points // 10):]
     dev = float(np.max(np.abs(tail - plateau)))
@@ -314,7 +313,7 @@ def test_criterion_7():
         ("high-fee", 0.008, 10.0 ** -2.1),
     ):
         params = iv_coop(h_u, beta)
-        coop = sm.coop_mdrb(params, weights=weights, solver="general", scan=scan)
+        coop = sm.coop_mdrb(params, weights=weights, scan=scan)
         cl = sm.mdrb_simultaneous(classicalized(params))
         results[label] = sm.dominates(coop, cl, 1e-6)
     elapsed = time.perf_counter() - t0

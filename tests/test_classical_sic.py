@@ -12,14 +12,21 @@ from swipt_mac.classical_sic import (
     InfeasibleRegionError,
     sic_breakpoints,
     sic_feasible,
-    sic_gamma_c,
     sic_rate_bounds,
     sic_sumrate_closed_form,
     sic_sumrate_numeric,
 )
 from swipt_mac.numerics import ScanConfig
+from swipt_mac.region import frontier
 
 from conftest import iv_classical, iv_eh
+
+
+def sic_gamma_c(params, x, order):
+    """The paper's literal balancing function
+    (1/x)*psi^{-1}(phi(b1(x)) + phi(b2(x))); its root at level a gives rho_c."""
+    b1, b2 = sic_rate_bounds(params, x, order)
+    return params.eh.inverse(params.cost.eval(b1) + params.cost.eval(b2)) / x
 
 
 def test_breakpoints_satisfy_the_balancing_equation():
@@ -55,8 +62,11 @@ def test_additive_fee_shares_its_corner_breakpoint_with_simultaneous():
 
 
 def _mirror(curve):
-    pts = [sm.RatePoint(p.r2, p.r1, p.rho) for p in curve.points]
-    return sm.upper_hull(pts, curve.metadata)
+    pts = curve.points
+    return frontier(
+        [p.r2 for p in pts], [p.r1 for p in pts], [p.rho for p in pts],
+        curve.metadata.__getitem__, hull=True,
+    )
 
 
 def test_region_is_mirror_symmetric_under_user_swap():

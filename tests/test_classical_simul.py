@@ -8,9 +8,6 @@ import pytest
 import swipt_mac as sm
 from swipt_mac.classical_simul import (
     InfeasibleRegionError,
-    gamma_1,
-    gamma_2,
-    gamma_c,
     rate_bound_sum,
     rate_bound_user1,
     rate_bound_user2,
@@ -20,6 +17,26 @@ from swipt_mac.classical_simul import (
 )
 
 from conftest import iv_classical
+
+
+# the paper's literal balancing functions: roots at level n_p give the
+# breakpoints the solver finds on cost-space residuals
+
+
+def gamma_c(params, x):
+    """2^(2*phi^{-1}(psi(x*a))) * ((1-x)*n + n_p) - (1-x)*a; root gives rho_c."""
+    t = 2.0 * params.cost.inverse(params.eh.eval(x * params.a))
+    return math.pow(2.0, t) * ((1.0 - x) * params.n + params.n_p) - (1.0 - x) * params.a
+
+
+def gamma_1(params, x):
+    """gamma_c shifted by user 1's received power; root gives rho_1."""
+    return gamma_c(params, x) + (1.0 - x) * params.h1_sq * params.p1
+
+
+def gamma_2(params, x):
+    """gamma_c shifted by user 2's received power; root gives rho_2."""
+    return gamma_c(params, x) + (1.0 - x) * params.h2_sq * params.p2
 
 
 def test_breakpoints_satisfy_their_defining_equations():

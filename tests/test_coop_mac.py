@@ -244,22 +244,8 @@ def test_classicalized_maps_fields():
     assert cp.cost is params.cost_dest and cp.eh is params.eh
 
 
-def test_mdrb_closed_solver_reroutes_to_general():
-    params = iv_coop(0.008, 1e-3)
-    weights = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    via_closed = coop_mdrb(params, weights=weights, solver="closed", scan=FAST)
-    via_general = coop_mdrb(params, weights=weights, solver="general", scan=FAST)
-    # the shortcut never validates, so both paths solve the same problems
-    assert sm.hausdorff(via_closed, via_general) < 1e-12
-    sources = {m.get("source") for m in via_closed.metadata if "source" in m}
-    assert "closed-form" not in sources
-    assert sources <= {"interior", "balanced", "cost-tight", "zero", "classical"}
-
-
 def test_mdrb_rejects_bad_input():
     params = iv_coop(0.008, 1e-3)
-    with pytest.raises(ValueError):
-        coop_mdrb(params, solver="magic")
     with pytest.raises(ValueError):
         coop_mdrb(params, weights=[(-0.5, 0.5)])
 

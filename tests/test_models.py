@@ -211,24 +211,15 @@ def test_cost_rate_cap_matches_capped_inverse_elementwise():
     p = np.linspace(0.0, 0.05, 101)
     cap = 1.25
     for cost in (sm.ExpCost(beta=1e-3), sm.LogCost(beta=1e-3), sm.LinCost(beta=1e-3)):
-        got = sm.cost_rate_cap(cost, p, cap)
+        got = cost.rate_cap(p, cap)
         want = [min(cost.inverse(float(x)), cap) for x in p]
         assert np.allclose(got, want, atol=1e-14)
 
 
 def test_cost_rate_cap_const_is_a_threshold():
     cost = sm.ConstCost(phi0=0.013)
-    got = sm.cost_rate_cap(cost, np.array([0.0, 0.012, 0.013, 0.05]), 0.7)
+    got = cost.rate_cap(np.array([0.0, 0.012, 0.013, 0.05]), 0.7)
     assert got.tolist() == [0.0, 0.0, 0.7, 0.7]
-
-
-def test_dispatchers_agree_with_methods():
-    cost = sm.ExpCost(beta=3e-3)
-    eh = iv_eh()
-    assert sm.cost_eval(cost, 0.8) == cost.eval(0.8)
-    assert sm.cost_inverse(cost, 0.01) == cost.inverse(0.01)
-    assert sm.eh_eval(eh, 0.005) == eh.eval(0.005)
-    assert sm.eh_inverse(eh, 0.01) == eh.inverse(0.01)
 
 
 @pytest.mark.parametrize("model", [

@@ -8,6 +8,7 @@ import pytest
 import swipt_mac as sm
 from swipt_mac.numerics import (
     BracketError,
+    ConvergenceError,
     EvaluationError,
     RootConfig,
     ScanConfig,
@@ -33,6 +34,20 @@ def test_bisect_root_rejects_nan_evaluations():
 
     with pytest.raises(EvaluationError):
         sm.bisect_root(f, 0.0, 1.0)
+
+
+def test_bisect_root_raises_when_max_iter_runs_out():
+    # five halvings leave [0, 1] at 1/32, far above abs_tol
+    with pytest.raises(ConvergenceError):
+        sm.bisect_root(lambda x: x - 0.3, 0.0, 1.0, RootConfig(abs_tol=1e-12, max_iter=5))
+    # ... and a bracket the last halving closes is an answer
+    r = sm.bisect_root(lambda x: x - 0.3, 0.0, 1.0, RootConfig(abs_tol=1.0 / 16, max_iter=5))
+    assert abs(r - 0.3) < 1.0 / 32
+    # a tolerance below the float spacing at the root (~1.1e-13) never closes
+    with pytest.raises(ConvergenceError):
+        sm.bisect_root(
+            lambda x: -1.0 if x < 1000.3 else 1.0, 0.0, 2e3, RootConfig(abs_tol=1e-14)
+        )
 
 
 def test_root_config_validation():

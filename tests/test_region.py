@@ -6,11 +6,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swipt_mac as sm
-from swipt_mac.region import assemble_frontier, frontier, sweeps
+from swipt_mac.region import frontier, sweeps
 
 
 def pt(r1, r2, rho=0.5):
     return sm.RatePoint(r1, r2, rho)
+
+
+def frontier_of(points, hull=False):
+    """frontier() of a RatePoint list, with empty metadata."""
+    return frontier(
+        [p.r1 for p in points], [p.r2 for p in points], [p.rho for p in points],
+        lambda i: {}, hull,
+    )
+
+
+def hull_of(points):
+    """The time-sharing envelope of a RatePoint list."""
+    return frontier_of(points, hull=True)
 
 
 def test_assemble_sorts_dedups_and_drops_dominated():
@@ -22,23 +35,23 @@ def test_assemble_sorts_dedups_and_drops_dominated():
         pt(0.3, 0.5),  # dominated by the later (0.4, 0.9)
         pt(1.2, 0.0),
     ]
-    curve = assemble_frontier(cloud)
+    curve = frontier_of(cloud)
     assert [(p.r1, p.r2) for p in curve.points] == [(1.2, 0.0), (1.0, 0.2), (0.4, 0.9)]
     assert not curve.hulled
 
 
 def test_assemble_keeps_flat_faces():
     cloud = [pt(0.7, 0.1), pt(0.7, 0.4), pt(0.7, 0.8)]
-    curve = assemble_frontier(cloud)
+    curve = frontier_of(cloud)
     assert len(curve) == 3
 
 
 def test_assemble_clamps_roundoff_negatives_but_rejects_real_ones():
-    curve = assemble_frontier([pt(-1e-14, 0.3), pt(0.5, -1e-13)])
+    curve = frontier_of([pt(-1e-14, 0.3), pt(0.5, -1e-13)])
     assert curve.points[0].r2 == 0.0 and curve.points[0].r1 == 0.5
     assert curve.points[1].r1 == 0.0
     with pytest.raises(ValueError):
-        assemble_frontier([pt(-1e-6, 0.3)])
+        frontier_of([pt(-1e-6, 0.3)])
 
 
 def test_boundary_curve_rejects_ascending_r1():
@@ -47,7 +60,7 @@ def test_boundary_curve_rejects_ascending_r1():
 
 
 def test_upper_hull_adds_axis_intercept():
-    hull = sm.upper_hull([pt(0.8, 0.3), pt(0.5, 0.6)])
+    hull = hull_of([pt(0.8, 0.3), pt(0.5, 0.6)])
     assert hull.hulled
     # the r2=0 intercept materializes; the right end keeps the original point
     # (an r1=0 companion at the same r2 would be dropped as a duplicate)
@@ -59,13 +72,13 @@ def test_upper_hull_adds_axis_intercept():
 
 def test_upper_hull_keeps_collinear_points():
     # three points on one chord: degenerate hull must stay fully sampled
-    hull = sm.upper_hull([pt(1.0, 0.0), pt(0.75, 0.25), pt(0.5, 0.5)])
+    hull = hull_of([pt(1.0, 0.0), pt(0.75, 0.25), pt(0.5, 0.5)])
     interior = [p for p in hull.points if 0.0 < p.r2 < 0.5]
     assert any(abs(p.r2 - 0.25) < 1e-12 for p in interior)
 
 
 def test_upper_hull_removes_sagging_points():
-    hull = sm.upper_hull([pt(1.0, 0.0), pt(0.2, 0.25), pt(0.5, 0.5), pt(0.0, 1.0)])
+    hull = hull_of([pt(1.0, 0.0), pt(0.2, 0.25), pt(0.5, 0.5), pt(0.0, 1.0)])
     # (0.2, 0.25) sits under the chord from (1,0) to (0.5,0.5)
     assert all(abs(p.r2 - 0.25) > 1e-9 for p in hull.points)
 
@@ -74,7 +87,7 @@ def test_upper_hull_is_concave_and_contains_input_over_random_clouds():
     rng = np.random.default_rng(31)
     for _ in range(30):
         cloud = [pt(r1, r2) for r1, r2 in rng.uniform(0.0, 2.0, size=(25, 2))]
-        hull = sm.upper_hull(cloud)
+        hull = hull_of(cloud)
         # every input point lies on or below the envelope
         for p in cloud:
             assert hull.interp_r1(p.r2) >= p.r1 - 1e-9
@@ -109,20 +122,20 @@ def test_sweeps_build_metadata_for_the_survivors_only():
 
 
 def test_dominates_weak_containment_and_reach():
-    outer = sm.upper_hull([pt(1.0, 0.0), pt(0.0, 1.0)])
-    inner = sm.upper_hull([pt(0.5, 0.0), pt(0.0, 0.5)])
+    outer = hull_of([pt(1.0, 0.0), pt(0.0, 1.0)])
+    inner = hull_of([pt(0.5, 0.0), pt(0.0, 0.5)])
     assert sm.dominates(outer, inner, 1e-9)
     assert not sm.dominates(inner, outer, 1e-9)
     # equal curves dominate each other within tolerance
     assert sm.dominates(outer, outer, 1e-12)
     # reach: a curve that is higher but shorter does not dominate
-    tall = sm.upper_hull([pt(2.0, 0.0), pt(2.0, 0.3)])
-    wide = sm.upper_hull([pt(0.1, 0.0), pt(0.1, 1.0)])
+    tall = hull_of([pt(2.0, 0.0), pt(2.0, 0.3)])
+    wide = hull_of([pt(0.1, 0.0), pt(0.1, 1.0)])
     assert not sm.dominates(tall, wide, 1e-9)
 
 
 def test_dominates_rejects_empty_curves():
-    curve = sm.upper_hull([pt(1.0, 0.5)])
+    curve = hull_of([pt(1.0, 0.5)])
     empty = sm.BoundaryCurve(points=[], empty_reason="fee exceeds harvest")
     with pytest.raises(ValueError):
         sm.dominates(curve, empty, 1e-9)
@@ -131,9 +144,9 @@ def test_dominates_rejects_empty_curves():
 
 
 def test_hausdorff_zero_on_identical_and_symmetric():
-    a = sm.upper_hull([pt(1.0, 0.0), pt(0.6, 0.4), pt(0.0, 1.0)])
+    a = hull_of([pt(1.0, 0.0), pt(0.6, 0.4), pt(0.0, 1.0)])
     assert sm.hausdorff(a, a) == 0.0
-    b = sm.upper_hull([pt(1.1, 0.0), pt(0.0, 1.0)])
+    b = hull_of([pt(1.1, 0.0), pt(0.0, 1.0)])
     assert sm.hausdorff(a, b) == pytest.approx(sm.hausdorff(b, a))
     assert sm.hausdorff(a, b) > 0.0
 
@@ -274,13 +287,8 @@ def test_array_core_matches_the_object_reference(points):
     r1 = np.array([p.r1 for p in points], dtype=float)
     r2 = np.array([p.r2 for p in points], dtype=float)
     rho = [p.rho for p in points]
-    for hull, ref, new in (
-        (False, _ref_assemble, assemble_frontier),
-        (True, _ref_hull, sm.upper_hull),
-    ):
+    for hull, ref in ((False, _ref_assemble), (True, _ref_hull)):
         want = _outcome(ref, points, metadata)
-        assert _outcome(new, points, metadata) == want
-        # the array entry point the solvers use
         assert _outcome(frontier, r1, r2, rho, metadata.__getitem__, hull) == want
 
 
