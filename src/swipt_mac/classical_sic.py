@@ -14,6 +14,7 @@ bracketed on [0,1]; the paper's literal balancing form
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +32,7 @@ from .models import (
 from .numerics import RootConfig, ScanConfig, bisect_root, critical_points
 from .classical_simul import (
     InfeasibleRegionError,
+    _check_n_points,
     _const_threshold_rho,
     _snr_bound,
 )
@@ -149,7 +151,19 @@ def _sic_balance_root(params, order, include_first, include_second, what):
 
 
 def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpoints:
-    """Solve the three sweep-delimiting equations for one decoding order."""
+    """Solve the three sweep-delimiting equations for one decoding order,
+    memoized on (params, order) (an unhashable model is solved afresh)."""
+    try:
+        hash(params)
+        solve = _breakpoints
+    except TypeError:
+        solve = _breakpoints.__wrapped__
+    return SicBreakpoints(*solve(params, order), decoding_order=order)
+
+
+@functools.lru_cache(maxsize=8)
+def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
+    """(rho_c, rho_1, rho_2); equal params (p2 = 0.0 and -0.0) share one."""
     if isinstance(params.cost, ConstCost):
         phi0 = params.cost.phi0
         single = _const_threshold_rho(params, phi0, "single")
@@ -157,14 +171,11 @@ def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpo
             both = _const_threshold_rho(params, 2.0 * phi0, "double")
         except InfeasibleRegionError:
             both = math.nan  # double fee never affordable
-        return SicBreakpoints(
-            rho_c=both, rho_1=single, rho_2=single, decoding_order=order
-        )
-    rho_c = _sic_balance_root(params, order, True, True, "two-message")
-    rho_1 = _sic_balance_root(params, order, False, True, "second-message")
-    rho_2 = _sic_balance_root(params, order, True, False, "first-message")
-    return SicBreakpoints(
-        rho_c=rho_c, rho_1=rho_1, rho_2=rho_2, decoding_order=order
+        return both, single, single
+    return (
+        _sic_balance_root(params, order, True, True, "two-message"),
+        _sic_balance_root(params, order, False, True, "second-message"),
+        _sic_balance_root(params, order, True, False, "first-message"),
     )
 
 
@@ -205,6 +216,7 @@ def _order_segments(params, order, n_points):
 
 def mdrb_sic(params: ClassicalParams, n_points: int = 512) -> BoundaryCurve:
     """Time-sharing envelope of both decoding orders' boundary sweeps."""
+    _check_n_points(n_points)
     parts, errors = [], []
     for order in DecodingOrder:
         try:

@@ -30,7 +30,7 @@ from .models import (
     SolveReport,
 )
 from .numerics import RootConfig, bisect_root
-from .region import BoundaryCurve, envelope, frontier, sweeps
+from .region import BoundaryCurve, _curve, _point_of, _survivors, envelope, frontier, sweeps
 
 __all__ = [
     "InfeasibleRegionError",
@@ -185,6 +185,11 @@ def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
 # ---------------------------------------------------------------------------
 
 
+def _check_n_points(n_points):
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+
+
 def _pentagon_curve(params, rho, n_points):
     """Frontier of the rate pentagon at one PS factor (indicator costs)."""
     b1 = rate_bound_user1(params, rho)
@@ -210,7 +215,7 @@ def _convexity_holds(params, p_lo, p_hi):
     return bool(np.all(d2 >= -1e-9 * scale))
 
 
-def _sags_below_hull(curve):
+def _sags_below_hull(r1, r2):
     """True when some frontier point lies below the time-sharing envelope.
 
     The affordable-map convexity test does not bound the geometry of the
@@ -219,7 +224,7 @@ def _sags_below_hull(curve):
     trace an arc that dips under its own chord.  Comparing against the
     envelope directly catches that.
     """
-    r1, r2 = curve.r1, curve.r2
+    r1, r2 = np.array(r1), np.array(r2)
     hull_r1, hull_r2 = envelope(r1, r2)
     sag = np.interp(r2, hull_r2, hull_r1) - r1
     scale = max(1.0, float(hull_r1.max()))
@@ -234,6 +239,7 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     rho_c.  If the affordable-sum map fails a numerical convexity check the
     time-sharing envelope is applied and the curve flagged hulled.
     """
+    _check_n_points(n_points)
     try:
         bp = simul_breakpoints(params)
     except InfeasibleRegionError as err:
@@ -272,9 +278,10 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     )
     lo = min(bp.rho_1, bp.rho_2) * a
     if _convexity_holds(params, lo, bp.rho_c * a):
-        raw = frontier(*cloud)
-        if not _sags_below_hull(raw):
-            return raw
+        r1, r2, rho, meta_of = cloud
+        raw = _survivors(r1, r2, False, _point_of(r1, r2, rho))
+        if not _sags_below_hull(raw[1], raw[2]):
+            return _curve(raw, rho, meta_of, False)
     return frontier(*cloud, hull=True)
 
 

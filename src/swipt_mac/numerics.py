@@ -150,18 +150,20 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
         samples = f(nodes)
         up, down = samples[2:], samples[:-2]
         d = (up - down) / (2.0 * h)
-        flat = np.isfinite(d) & (
-            np.abs(up - down)
-            <= _FLAT_ULPS * _EPS * np.maximum(np.abs(up), np.abs(down))
-        )
         prev, cur = d[:-1], d[1:]
         # a run of exact zeros counts once, where it starts
         change = ~np.isnan(prev) & (
             (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
         )
-        for i in np.flatnonzero(change):
-            lo_i, hi_i = float(xs[i]), float(xs[i + 1])
-            if flat[i] and flat[i + 1]:
+        i = np.flatnonzero(change)
+        k = np.stack([i, i + 1])  # the roundoff test runs at bracket ends only
+        u, w = up[k], down[k]
+        flat = np.isfinite(d[k]) & (
+            np.abs(u - w) <= _FLAT_ULPS * _EPS * np.maximum(np.abs(u), np.abs(w))
+        )
+        noise = flat.all(0).tolist()  # flat at both ends
+        for lo_i, hi_i, flat_i in zip(xs[i].tolist(), xs[i + 1].tolist(), noise):
+            if flat_i:
                 r = 0.5 * (lo_i + hi_i)
             else:
                 try:

@@ -36,6 +36,8 @@ __all__ = [
 
 
 def _rho_grid(rho_step: float):
+    if not 0.0 < rho_step <= 1.0:
+        raise ValueError("rho_step must lie in (0, 1]")
     n = int(round(1.0 / rho_step)) + 1
     return np.linspace(0.0, 1.0, n)
 
@@ -139,6 +141,8 @@ def oracle_coop_weighted(
         raise TypeError("the cooperative grid oracle needs Exp user costs")
     if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
         raise ValueError("weights must be non-negative and not both zero")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     b, c = params.b, params.c
     beta1, beta2 = params.cost_user1.beta, params.cost_user2.beta
     k = 1.0 - beta1 * beta2 * b * c

@@ -16,7 +16,6 @@ The solvers hand their rho sweeps to frontier() (see sweeps()).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,17 +136,19 @@ def _survivors(r1, r2, hull, point_of):
         order = order[keep]
     if hull:
         # monotone chain; a point leaves only when it lies strictly below
-        # the chord of its neighbours, so collinear points survive
-        xs, ys, ks = [], [], []
+        # the chord of its neighbours, so collinear points survive; (x0, y0)
+        # and (x1, y1) are the chain's top two vertices
+        xs, ys, ks, x1, y1 = [], [], [], None, None
         for k, x, y in zip(order.tolist(), r2[order].tolist(), r1[order].tolist()):
-            while len(ks) >= 2 and (
-                (xs[-1] - xs[-2]) * (y - ys[-2]) - (ys[-1] - ys[-2]) * (x - xs[-2])
-                > 0.0
-            ):
+            while len(ks) >= 2 and (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
                 del xs[-1], ys[-1], ks[-1]
+                x1, y1 = x0, y0
+                if len(ks) >= 2:
+                    x0, y0 = xs[-2], ys[-2]
             xs.append(x)
             ys.append(y)
             ks.append(k)
+            x0, y0, x1, y1 = x1, y1, x, y
         order = np.array(ks, dtype=int)
     # r1 never rises with r2: drop every point a later one beats in r1,
     # which also absorbs roundoff-scale ascents (flat runs stay)
@@ -170,9 +171,16 @@ def frontier(r1, r2, rho, meta_of, hull=False):
     returns the metadata dict of input point i; it is called, and
     RatePoints are built, for the surviving points only.
     """
-    src, s1, s2, axis = _survivors(
-        r1, r2, hull, lambda i: RatePoint(float(r1[i]), float(r2[i]), rho[i])
-    )
+    return _curve(_survivors(r1, r2, hull, _point_of(r1, r2, rho)), rho, meta_of, hull)
+
+
+def _point_of(r1, r2, rho):
+    return lambda i: RatePoint(float(r1[i]), float(r2[i]), rho[i])
+
+
+def _curve(survivors, rho, meta_of, hull):
+    """BoundaryCurve of _survivors' output, built for the survivors only."""
+    src, s1, s2, axis = survivors
     return BoundaryCurve(
         points=[RatePoint(a, b, rho[i]) for i, a, b in zip(src, s1, s2)],
         metadata=[
@@ -194,10 +202,10 @@ def sweeps(*parts):
         for k in range(3)
     )
     rho = rho.tolist()
-    ends = np.cumsum([len(p[2]) for p in parts]).tolist()
+    labels = sum(([p[3]] * len(p[2]) for p in parts), [])  # point i carries labels[i]
 
     def meta_of(i):
-        return {"rho": rho[i], **parts[bisect_right(ends, i)][3]}
+        return {"rho": rho[i], **labels[i]}
 
     return r1, r2, rho, meta_of
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import swipt_mac as sm
+import swipt_mac.classical_sic as sic
 from swipt_mac.classical_simul import simul_breakpoints, simul_closed_form
 from swipt_mac.classical_sic import (
     DecodingOrder,
@@ -245,3 +246,91 @@ def test_sum_at_rho_tags_rate_and_cost_limited_regimes():
     rich, tag_hi = sm.sic_max_sum_at_rho(params, min(1.0, bp.rho_c * 1.05))
     assert tag_hi == "rate"
     assert rich > 0.0 and starved < rich
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint memo
+# ---------------------------------------------------------------------------
+
+
+def _solves(params):
+    """Everything a channel's breakpoints feed, as one repr."""
+    return repr([
+        [sic_breakpoints(params, order) for order in DecodingOrder],
+        sic_sumrate_numeric(params, ScanConfig(2001)),
+        sm.mdrb_sic(params, n_points=64),
+    ])
+
+
+@pytest.mark.parametrize("cost", [sm.ExpCost(1e-3), sm.LogCost(1e-3), sm.ConstCost(0.013)])
+def test_warm_breakpoints_equal_cold_ones(cost, monkeypatch):
+    params = iv_classical(cost, p1=0.7, p2=0.3)
+    with monkeypatch.context() as m:  # every solve from scratch
+        m.setattr(sic, "_breakpoints", sic._breakpoints.__wrapped__)
+        fresh = _solves(params)
+    sic._breakpoints.cache_clear()
+    cold = _solves(params)
+    hits = sic._breakpoints.cache_info().hits
+    warm = _solves(params)
+    assert sic._breakpoints.cache_info().hits > hits
+    assert warm == cold == fresh
+
+
+@pytest.mark.parametrize(
+    "key, value, twin", [("p2", -0.0, 0.0), ("p1", 1, 1.0), ("n", -0.0, 0.0)]
+)
+def test_equal_channels_each_get_their_own_answer(key, value, twin):
+    params = iv_classical(sm.ExpCost(1e-3), **{key: value})
+    other = iv_classical(sm.ExpCost(1e-3), **{key: twin})
+    assert params == other and hash(params) == hash(other)
+    sic._breakpoints.cache_clear()
+    cold = _solves(params)
+    sic._breakpoints.cache_clear()
+    _solves(other)  # leaves the shared entry
+    hits = sic._breakpoints.cache_info().hits
+    assert _solves(params) == cold
+    assert sic._breakpoints.cache_info().hits > hits
+
+
+def test_equal_orders_each_get_their_own_answer():
+    # a plain string compares and hashes equal to its DecodingOrder member
+    params = iv_classical(sm.LogCost(1e-3))
+    sic._breakpoints.cache_clear()
+    member = sic_breakpoints(params, DecodingOrder.USER2_FIRST)
+    text = sic_breakpoints(params, "user2_first")
+    assert sic._breakpoints.cache_info().hits == 1
+    assert text.decoding_order == "user2_first"
+    assert type(text.decoding_order) is str
+    assert text == member
+
+
+def test_breakpoint_memo_stays_bounded():
+    sic._breakpoints.cache_clear()
+    size = sic._breakpoints.cache_info().maxsize
+    for k in range(size):
+        sic_sumrate_numeric(iv_classical(sm.ExpCost(1e-3), p1=0.3 + 0.05 * k), ScanConfig(201))
+    assert sic._breakpoints.cache_info().currsize == size
+
+
+class _UnhashableLog(sm.LogCost):
+    __hash__ = None
+
+
+def test_unhashable_model_is_solved_afresh():
+    sic._breakpoints.cache_clear()
+    params = iv_classical(_UnhashableLog(1e-3))
+    for order in DecodingOrder:
+        got = sic_breakpoints(params, order)
+        assert got == sic_breakpoints(iv_classical(sm.LogCost(1e-3)), order)
+        sic_breakpoints(params, order)
+    info = sic._breakpoints.cache_info()
+    assert (info.hits, info.misses) == (0, 2)  # the hashable twin's solves only
+
+
+def test_infeasible_breakpoints_raise_on_every_call():
+    params = iv_classical(sm.ConstCost(0.025))  # above the 24 mW harvest ceiling
+    sic._breakpoints.cache_clear()
+    for _ in range(3):
+        with pytest.raises(InfeasibleRegionError):
+            sic_breakpoints(params, DecodingOrder.USER1_FIRST)
+    assert sic._breakpoints.cache_info().currsize == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import swipt_mac as sm
+import swipt_mac.classical_simul as cs
 from swipt_mac.classical_simul import (
     InfeasibleRegionError,
     rate_bound_sum,
@@ -15,8 +16,9 @@ from swipt_mac.classical_simul import (
     simul_closed_form,
     simul_feasible,
 )
+from swipt_mac.region import BoundaryCurve, envelope, frontier, sweeps
 
-from conftest import iv_classical
+from conftest import iv_classical, iv_eh
 
 
 # the paper's literal balancing functions: roots at level n_p give the
@@ -176,3 +178,71 @@ def test_simul_feasible_rejects_each_violated_constraint():
     assert not simul_feasible(params, sm.RatePoint(r1, r2, rho=1.2))
     # starving the harvester breaks the cost constraint even if rates fit
     assert not simul_feasible(params, sm.RatePoint(r1, r2, rho=rho * 0.5))
+
+
+# ---------------------------------------------------------------------------
+# parity with the two-build boundary path
+# ---------------------------------------------------------------------------
+
+
+def _ref_mdrb_simultaneous(params, n_points=512):
+    """(curve, branch) by the path mdrb_simultaneous replaced: the raw
+    frontier is built as a curve, sag-tested through its points and, on a
+    sag, discarded for the hull of the cloud."""
+    try:
+        bp = simul_breakpoints(params)
+    except InfeasibleRegionError as err:
+        return BoundaryCurve(points=[], metadata=[], empty_reason=str(err)), "empty"
+    if isinstance(params.cost, sm.ConstCost):
+        return cs._pentagon_curve(params, bp.rho_c, n_points), "pentagon"
+    eh, cost, a = params.eh, params.cost, params.a
+
+    def affordable(rho_arr):
+        return cost.rate_cap(eh.eval(np.asarray(rho_arr) * a), np.inf)
+
+    rho1_grid = np.linspace(bp.rho_1, bp.rho_c, n_points)
+    r2_seg = rate_bound_user2(params, rho1_grid)
+    r1_seg = np.maximum(affordable(rho1_grid) - r2_seg, 0.0)
+    rho2_grid = np.linspace(bp.rho_2, bp.rho_c, n_points)
+    r1b_seg = rate_bound_user1(params, rho2_grid)
+    r2b_seg = np.maximum(affordable(rho2_grid) - r1b_seg, 0.0)
+    s = float(affordable(np.array([bp.rho_c]))[0])
+    b1c = rate_bound_user1(params, bp.rho_c)
+    b2c = rate_bound_user2(params, bp.rho_c)
+    r2_face = np.linspace(max(s - b1c, 0.0), min(b2c, s), max(n_points // 8, 2))
+    r1_face = np.where(s - r2_face < 0.0, 0.0, s - r2_face)
+    cloud = sweeps(
+        (r1_seg, r2_seg, rho1_grid, {"segment": "user2-pinned"}),
+        (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
+        (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
+    )
+    if not cs._convexity_holds(params, min(bp.rho_1, bp.rho_2) * a, bp.rho_c * a):
+        return frontier(*cloud, hull=True), "non-convex"
+    raw = frontier(*cloud)
+    hull_r1, hull_r2 = envelope(raw.r1, raw.r2)
+    sag = np.interp(raw.r2, hull_r2, hull_r1) - raw.r1
+    if np.max(sag) > 1e-9 * max(1.0, float(hull_r1.max())):
+        return frontier(*cloud, hull=True), "sag"
+    return raw, "convex"
+
+
+def _draw(rng, family):
+    """A random channel drawn as the classical benchmark draws them."""
+    h1, h2 = rng.uniform(0.02, 0.2, size=2)
+    eh = iv_eh() if rng.uniform() < 0.5 else sm.LinearEh(rng.uniform(0.3, 1.0))
+    return sm.ClassicalParams(
+        h1_sq=h1 * h1, h2_sq=h2 * h2, p1=rng.uniform(0.1, 1.0), p2=rng.uniform(0.1, 1.0),
+        n=1e-6, n_p=1e-3, eh=eh, cost=family(10.0 ** rng.uniform(-3.2, -1.5)),
+    )
+
+
+def test_mdrb_builds_the_curve_of_the_two_build_path():
+    rng = np.random.default_rng(7101)
+    branches = []
+    for family in (sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost) * 8:
+        params = _draw(rng, family)
+        want, branch = _ref_mdrb_simultaneous(params)
+        assert repr(sm.mdrb_simultaneous(params)) == repr(want), (branch, params)
+        branches.append(branch)
+    for branch in ("convex", "sag", "non-convex", "pentagon"):
+        assert branches.count(branch) >= 2, branches

@@ -1,5 +1,6 @@
 """Config ingestion, presets, CSV emission and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -213,6 +214,21 @@ def test_pinned_classical_csvs_are_byte_identical(capsys):
         assert hashlib.sha256(out).hexdigest() == want, command
 
 
+# SHA-256 of the stdout of `verify --preset P`; the printed analytic optimum
+# moves with any change to the classical solvers' results
+_PINNED_VERIFY = {
+    "fig3a": "85044f4d83e433706ae00fa050912da1095e14e5e5d44ffb329cbe1354799e9b",
+    "fig4b": "607c046181e2814f1aa6a702c04852727555bcf2df081b56e9c8a52a704c4da9",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PINNED_VERIFY))
+def test_pinned_classical_verify_output_is_byte_identical(preset, capsys):
+    assert main(["verify", "--preset", preset]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _PINNED_VERIFY[preset]
+
+
 def test_verify_classical_passes(tmp_path, capsys):
     assert main(["verify", "--preset", "fig3a"]) == 0
     text = capsys.readouterr().out
@@ -236,6 +252,50 @@ def test_verify_coop_passes(tmp_path):
     text = out.read_text()
     assert "overall: PASS" in text
     assert "budget1_residual_w" in text
+
+
+def test_verify_fails_a_solver_short_of_its_oracle(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text("oracle_grid = 21\nscan_points = 21\nscan_refine = 8\n")
+    real = cli.oracle_coop_weighted
+
+    def above(*args):  # an oracle 1.38 bits above whatever the grid finds
+        orc = real(*args)
+        return dataclasses.replace(orc, weighted_rate=orc.weighted_rate + 1.38)
+
+    monkeypatch.setattr(cli, "oracle_coop_weighted", above)
+    assert main(["verify", "--preset", "fig5a", "--config", str(cfg_file)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    gap = next(line for line in lines if line.startswith("weighted_rate_gap_bits"))
+    assert gap.endswith("-> FAIL")
+    assert float(gap.split()[1]) > 1.3
+    assert lines[-1] == "overall: FAIL (1)"
+
+
+@pytest.mark.parametrize(
+    "key, bad, edge",
+    [
+        ("region_points", "-3", "2"),
+        ("region_points", "0", "2"),
+        ("region_points", "1", "2"),
+        ("rho_points", "0", "1"),
+        ("weight_count", "0", "1"),
+        ("weight_count", "-1", "1"),
+        ("oracle_grid", "1", "2"),
+        ("scan_points", "2", "3"),
+        ("oracle_rho_step", "0", "1"),
+        ("oracle_rho_step", "-0.01", "1e-5"),
+        ("oracle_rho_step", "1.5", "1"),
+    ],
+)
+def test_out_of_range_knobs_fail_at_config_time(key, bad, edge, tmp_path, capsys):
+    cfg_file = tmp_path / "knob.cfg"
+    cfg_file.write_text(f"{key} = {bad}\n")
+    assert main(["region", "--preset", "fig3c", "--config", str(cfg_file)]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    # the smallest (or largest) value in range is accepted
+    for preset in ("fig3c", "fig5a"):
+        ingest_config(dict(PRESETS[preset], **{key: edge}))
 
 
 def test_exit_codes_for_config_errors():

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swipt_mac as sm
 from swipt_mac.numerics import (
+    _EPS,
+    _FLAT_ULPS,
     BracketError,
     ConvergenceError,
     EvaluationError,
@@ -95,6 +99,120 @@ def test_critical_points_does_not_bisect_roundoff_noise():
     assert batch_sizes == [4002]
     assert all(0.0 < x < 1.0 for x in pts)
     assert np.all(np.diff(pts) > 2.0 / 4001)
+
+
+def _ref_critical_points(f, lo, hi, cfg):
+    """critical_points as it was before the flatness test moved to the
+    bracket ends: the test runs on every interior node."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    h = (hi - lo) / cfg.grid_points
+
+    def df(x):
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+
+    nodes = lo + h * np.arange(cfg.grid_points + 1)
+    xs = nodes[1:-1]
+    roots = []
+    with np.errstate(invalid="ignore"):
+        samples = f(nodes)
+        up, down = samples[2:], samples[:-2]
+        d = (up - down) / (2.0 * h)
+        flat = np.isfinite(d) & (
+            np.abs(up - down)
+            <= _FLAT_ULPS * _EPS * np.maximum(np.abs(up), np.abs(down))
+        )
+        prev, cur = d[:-1], d[1:]
+        change = ~np.isnan(prev) & (
+            (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
+        )
+        for i in np.flatnonzero(change):
+            lo_i, hi_i = float(xs[i]), float(xs[i + 1])
+            if flat[i] and flat[i + 1]:
+                r = 0.5 * (lo_i + hi_i)
+            else:
+                try:
+                    r = sm.bisect_root(df, lo_i, hi_i)
+                except BracketError:
+                    continue
+            if not roots or abs(r - roots[-1]) > 2.0 * h:
+                roots.append(r)
+    return roots
+
+
+# piece kinds: smooth extrema, a plateau flat to roundoff, a tilt from well
+# inside to well outside the roundoff band, exact zeros, -inf, a step, and
+# noise exactly at the flatness threshold (1 - 2^-42 against 1.0)
+_KINDS = ("wave", "plateau", "tilt", "zero", "-inf", "step", "ulps")
+
+
+def _piecewise(cuts, pieces, nan_at):
+    """f on pieces split at cuts; NaN exactly at the points nan_at."""
+
+    def f(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        which = np.searchsorted(cuts, x, side="right")
+        out = np.empty_like(x)
+        for k, (kind, c, a, w) in enumerate(pieces):
+            m = which == k
+            t = x[m]
+            if kind == "wave":
+                v = c + a * np.sin(w * t)
+            elif kind == "plateau":
+                v = (c + t) - t
+            elif kind == "tilt":
+                v = c + a * 1e-12 * t
+            elif kind == "zero":
+                v = 0.0 * t
+            elif kind == "-inf":
+                v = np.full(t.shape, -np.inf)
+            elif kind == "ulps":
+                v = 1.0 - 2.0 ** -42 * (np.floor(10.0 * w * t) % 2.0)
+            else:
+                v = c + a * (t > w / 100.0)
+            out[m] = v
+        out[np.isin(x, nan_at)] = np.nan
+        return out if out.size > 1 else float(out[0])
+
+    return f
+
+
+@st.composite
+def _objectives(draw):
+    n = draw(st.integers(3, 600))
+    lo = draw(st.sampled_from([0.0, -1.0, 0.25, 0.1, 1.0 / 3.0]))
+    hi = lo + draw(st.sampled_from([1.0, 3.0, 0.1, 0.7]))
+    cuts = sorted(draw(st.lists(st.floats(lo, hi), max_size=5)))
+    pieces = [
+        (
+            draw(st.sampled_from(_KINDS)),
+            draw(st.sampled_from([0.0, 1.3, -2.7, 1e3])),
+            draw(st.sampled_from([1.0, -0.5, 1e-3, 1e-14])),
+            draw(st.floats(1.0, 80.0)),
+        )
+        for _ in range(len(cuts) + 1)
+    ]
+    nodes = lo + (hi - lo) / n * np.arange(n + 1)
+    nan_at = nodes[draw(st.lists(st.integers(0, n), max_size=2))]
+    return _piecewise(np.array(cuts), pieces, nan_at), lo, hi, ScanConfig(n)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (sm.EvaluationError, ConvergenceError) as err:
+        return type(err)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_objectives())
+def test_critical_points_match_the_every_node_flatness_test(case):
+    f, lo, hi, cfg = case
+    got = _outcome(sm.critical_points, f, lo, hi, cfg)
+    want = _outcome(_ref_critical_points, f, lo, hi, cfg)
+    assert got == want
+    if isinstance(got, list):
+        assert all(type(r) is float for r in got)
 
 
 def test_solve_2x2_matches_numpy():

@@ -82,6 +82,30 @@ def test_coop_oracle_input_screens():
         sm.oracle_coop_weighted(singular, 0.5, 0.5)
 
 
+def test_grid_sizes_outside_their_range_raise():
+    feasible = iv_classical(sm.ExpCost(1e-3))
+    infeasible = iv_classical(sm.ConstCost(0.025))
+    for params in (feasible, infeasible):
+        for n_points in (1, 0, -3):
+            with pytest.raises(ValueError, match="n_points"):
+                sm.mdrb_simultaneous(params, n_points=n_points)
+            with pytest.raises(ValueError, match="n_points"):
+                sm.mdrb_sic(params, n_points=n_points)
+        for step in (0.0, -1e-3, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="rho_step"):
+                sm.oracle_simul_sumrate(params, rho_step=step)
+            with pytest.raises(ValueError, match="rho_step"):
+                sm.oracle_sic_sumrate(params, rho_step=step)
+    for grid in (1, 0, -5):
+        with pytest.raises(ValueError, match="grid"):
+            sm.oracle_coop_weighted(iv_coop(0.008, 1e-3), 0.5, 0.5, grid=grid)
+    # the smallest sizes in range still give answers
+    assert len(sm.mdrb_sic(feasible, n_points=2)) > 0
+    assert len(sm.mdrb_simultaneous(feasible, n_points=2)) > 0
+    assert sm.oracle_sic_sumrate(feasible, rho_step=1.0).notes["grid_points"] == 2
+    assert sm.oracle_coop_weighted(iv_coop(0.008, 1e-3), 0.5, 0.5, grid=2).weighted_rate >= 0.0
+
+
 def _full_grid_argmax(params, mu1, mu2, grid):
     """(J, rho, pu1, pu2) of the cooperative grid by an argmax over every
     point of every rho plane, first maximum in rho and then in C order."""

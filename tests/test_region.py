@@ -104,6 +104,7 @@ def test_sweeps_build_metadata_for_the_survivors_only():
          np.array([0.1, 0.2, 0.3]), {"order": "a", "segment": "s1"}),
         ([0.0], [1.0], [0.4], {"segment": "s2"}),
     )
+    assert [meta_of(i)["segment"] for i in range(4)] == ["s1", "s1", "s1", "s2"]
     for hull in (False, True):
         calls = []
         curve = frontier(r1, r2, rho, lambda i: calls.append(i) or meta_of(i), hull)
