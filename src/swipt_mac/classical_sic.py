@@ -29,14 +29,14 @@ from .models import (
     RatePoint,
     SolveReport,
 )
-from .numerics import RootConfig, ScanConfig, bisect_root, critical_points
+from .numerics import ScanConfig, critical_points
 from .classical_simul import (
     InfeasibleRegionError,
+    _balance_root,
     _check_n_points,
-    _const_threshold_rho,
     _snr_bound,
 )
-from .region import BoundaryCurve, frontier, sweeps
+from .region import BoundaryCurve, frontier
 
 __all__ = [
     "DecodingOrder",
@@ -50,8 +50,6 @@ __all__ = [
     "sic_sumrate_numeric",
     "sic_sumrate_closed_form",
 ]
-
-_ROOT = RootConfig(abs_tol=1e-14, max_iter=200)
 
 
 class DecodingOrder(str, Enum):
@@ -127,29 +125,6 @@ def sic_feasible(params: ClassicalParams, point: RatePoint, order: DecodingOrder
     return used <= params.eh.eval(rho * params.a) + tol
 
 
-def _sic_balance_root(params, order, include_first, include_second, what):
-    """Root of psi(x*a) - [phi(b1(x)) if included] - [phi(b2(x)) if included]."""
-    eh, cost, a = params.eh, params.cost, params.a
-
-    def resid(x):
-        b1, b2 = sic_rate_bounds(params, x, order)
-        need = 0.0
-        if include_first:
-            need += cost.eval(b1)
-        if include_second:
-            need += cost.eval(b2)
-        return eh.eval(x * a) - need
-
-    hi = resid(1.0)
-    if hi < 0.0:  # psi(a) < phi(0)=0 can't happen; defensive
-        raise InfeasibleRegionError(
-            f"harvest cannot cover the {what} decoding cost at any PS factor"
-        )
-    if resid(0.0) >= 0.0:
-        return 0.0
-    return bisect_root(resid, 0.0, 1.0, _ROOT)
-
-
 def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpoints:
     """Solve the three sweep-delimiting equations for one decoding order,
     memoized on (params, order) (an unhashable model is solved afresh)."""
@@ -164,18 +139,25 @@ def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpo
 @functools.lru_cache(maxsize=8)
 def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
     """(rho_c, rho_1, rho_2); equal params (p2 = 0.0 and -0.0) share one."""
-    if isinstance(params.cost, ConstCost):
-        phi0 = params.cost.phi0
-        single = _const_threshold_rho(params, phi0, "single")
+    cost = params.cost
+    if isinstance(cost, ConstCost):
+        single = _balance_root(params, lambda x: cost.phi0, "single")
         try:
-            both = _const_threshold_rho(params, 2.0 * phi0, "double")
+            both = _balance_root(params, lambda x: 2.0 * cost.phi0, "double")
         except InfeasibleRegionError:
             both = math.nan  # double fee never affordable
         return both, single, single
+
+    def fee(*users):  # the fee of the messages of users (0: user 1, 1: user 2)
+        def f(x):
+            bounds = sic_rate_bounds(params, x, order)
+            return sum(cost.eval(bounds[u]) for u in users)
+        return f
+
     return (
-        _sic_balance_root(params, order, True, True, "two-message"),
-        _sic_balance_root(params, order, False, True, "second-message"),
-        _sic_balance_root(params, order, True, False, "first-message"),
+        _balance_root(params, fee(0, 1), "two-message"),
+        _balance_root(params, fee(1), "second-message"),
+        _balance_root(params, fee(0), "first-message"),
     )
 
 
@@ -224,8 +206,8 @@ def mdrb_sic(params: ClassicalParams, n_points: int = 512) -> BoundaryCurve:
         except InfeasibleRegionError as err:
             errors.append(str(err))
     if not any(len(part[2]) for part in parts):
-        return BoundaryCurve(points=[], metadata=[], empty_reason="; ".join(errors))
-    return frontier(*sweeps(*parts), hull=True)
+        return BoundaryCurve(empty_reason="; ".join(errors))
+    return frontier(*parts, hull=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +268,12 @@ def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None)
         return _sic_sumrate_const(params)
 
     def sweep(order, pin_user1):
-        def f(rho):
+        def f(rho, floor=-np.inf):
+            """The objective at rho, with the harvest left after the pinned
+            message raised to floor where that is higher."""
             b1, b2 = sic_rate_bounds(params, rho, order)
             pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
-            left = eh.eval(rho * a) - cost.eval(pinned)
+            left = np.maximum(eh.eval(rho * a) - cost.eval(pinned), floor)
             return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
 
         return f
@@ -308,7 +292,11 @@ def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None)
             rhos = [lo, hi]
             if hi > lo:
                 rhos += critical_points(f, lo, hi, scan)
-            for rho, val in zip(rhos, f(np.array(rhos))):
+            # the ends are bisected balance points, where the harvest just
+            # pays the pinned message: score them at that limit, since
+            # roundoff leaves them short of it about half the time
+            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
+            for rho, val in zip(rhos, f(np.array(rhos), floor)):
                 candidates.append((float(rho), float(val), f"{order.value}:{label}"))
 
     rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])

@@ -30,7 +30,7 @@ from .models import (
     SolveReport,
 )
 from .numerics import RootConfig, bisect_root
-from .region import BoundaryCurve, _curve, _point_of, _survivors, envelope, frontier, sweeps
+from .region import BoundaryCurve, frontier
 
 __all__ = [
     "InfeasibleRegionError",
@@ -130,33 +130,22 @@ def simul_feasible(params: ClassicalParams, point: RatePoint, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _cost_balance_root(params, bound_fn, what):
-    """Root of psi(x*a) - phi(bound(x)) on [0,1]; monotone non-decreasing."""
-    eh, cost, a = params.eh, params.cost, params.a
+def _balance_root(params, fee, what):
+    """Smallest rho in [0, 1] whose harvest psi(rho*a) covers fee(rho), a
+    non-increasing decoding fee in W: the root of the non-decreasing
+    psi(rho*a) - fee(rho), by bisection."""
+    eh, a = params.eh, params.a
 
     def resid(x):
-        return eh.eval(x * a) - cost.eval(bound_fn(x))
+        return eh.eval(x * a) - fee(x)
 
-    lo, hi = resid(0.0), resid(1.0)
-    if lo > 0.0:  # free decoding at rho=0 already covers the bound
+    if resid(0.0) >= 0.0:  # free decoding at rho=0 already covers the fee
         return 0.0
-    if hi < 0.0:
+    if resid(1.0) < 0.0:
         raise InfeasibleRegionError(
             f"harvest cannot cover the {what} decoding cost at any PS factor"
         )
     return bisect_root(resid, 0.0, 1.0, _ROOT)
-
-
-def _const_threshold_rho(params, fee, what):
-    """Smallest rho with psi(rho*a) >= fee (indicator-family logic)."""
-    eh, a = params.eh, params.a
-    if fee <= 0.0:
-        return 0.0
-    if eh.eval(a) < fee:
-        raise InfeasibleRegionError(
-            f"harvest psi(a) < {what} decoding fee: empty region"
-        )
-    return bisect_root(lambda x: eh.eval(x * a) - fee, 0.0, 1.0, _ROOT)
 
 
 def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
@@ -165,19 +154,19 @@ def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
     For the constant family all three collapse onto the one threshold where
     the harvested power first covers the fee.
     """
-    if isinstance(params.cost, ConstCost):
-        rho_c = _const_threshold_rho(params, params.cost.phi0, "joint")
+    cost = params.cost
+    if isinstance(cost, ConstCost):
+        rho_c = _balance_root(params, lambda x: cost.phi0, "joint")
         return SimulBreakpoints(rho_c=rho_c, rho_1=rho_c, rho_2=rho_c)
-    rho_c = _cost_balance_root(
-        params, lambda x: rate_bound_sum(params, x), "sum-rate"
+
+    def fee(bound):
+        return lambda x: cost.eval(bound(params, x))
+
+    return SimulBreakpoints(
+        rho_c=_balance_root(params, fee(rate_bound_sum), "sum-rate"),
+        rho_1=_balance_root(params, fee(rate_bound_user2), "second-user"),
+        rho_2=_balance_root(params, fee(rate_bound_user1), "first-user"),
     )
-    rho_1 = _cost_balance_root(
-        params, lambda x: rate_bound_user2(params, x), "second-user"
-    )
-    rho_2 = _cost_balance_root(
-        params, lambda x: rate_bound_user1(params, x), "first-user"
-    )
-    return SimulBreakpoints(rho_c=rho_c, rho_1=rho_1, rho_2=rho_2)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,7 @@ def _pentagon_curve(params, rho, n_points):
     )
     r2 = r2[bs - r2 >= -1e-15]
     r1 = np.where(bs - r2 < b1, bs - r2, b1)  # min(b1, bs - r2)
-    return frontier(*sweeps((r1, r2, np.full(r2.size, rho), {"segment": "pentagon"})))
+    return frontier((r1, r2, np.full(r2.size, rho), {"segment": "pentagon"}))
 
 
 def _convexity_holds(params, p_lo, p_hi):
@@ -215,8 +204,9 @@ def _convexity_holds(params, p_lo, p_hi):
     return bool(np.all(d2 >= -1e-9 * scale))
 
 
-def _sags_below_hull(r1, r2):
-    """True when some frontier point lies below the time-sharing envelope.
+def _sags_below_hull(curve):
+    """True when some point of a frontier lies below its time-sharing
+    envelope.
 
     The affordable-map convexity test does not bound the geometry of the
     parametric sweeps: even with a convex affordable map the pinned bound
@@ -224,10 +214,9 @@ def _sags_below_hull(r1, r2):
     trace an arc that dips under its own chord.  Comparing against the
     envelope directly catches that.
     """
-    r1, r2 = np.array(r1), np.array(r2)
-    hull_r1, hull_r2 = envelope(r1, r2)
-    sag = np.interp(r2, hull_r2, hull_r1) - r1
-    scale = max(1.0, float(hull_r1.max()))
+    hull = frontier((curve.r1, curve.r2, curve.rho, {}), hull=True)
+    sag = np.interp(curve.r2, hull.r2, hull.r1) - curve.r1
+    scale = max(1.0, float(hull.r1.max()))
     return bool(np.max(sag) > 1e-9 * scale)
 
 
@@ -243,7 +232,7 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     try:
         bp = simul_breakpoints(params)
     except InfeasibleRegionError as err:
-        return BoundaryCurve(points=[], metadata=[], empty_reason=str(err))
+        return BoundaryCurve(empty_reason=str(err))
 
     if isinstance(params.cost, ConstCost):
         return _pentagon_curve(params, bp.rho_c, n_points)
@@ -271,18 +260,17 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     r2_face = np.linspace(face_lo, min(b2c, s), max(n_points // 8, 2))
     r1_face = np.where(s - r2_face < 0.0, 0.0, s - r2_face)  # max(s - r2, 0.0)
 
-    cloud = sweeps(
+    parts = (
         (r1_seg, r2_seg, rho1_grid, {"segment": "user2-pinned"}),
         (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
         (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
     )
     lo = min(bp.rho_1, bp.rho_2) * a
     if _convexity_holds(params, lo, bp.rho_c * a):
-        r1, r2, rho, meta_of = cloud
-        raw = _survivors(r1, r2, False, _point_of(r1, r2, rho))
-        if not _sags_below_hull(raw[1], raw[2]):
-            return _curve(raw, rho, meta_of, False)
-    return frontier(*cloud, hull=True)
+        curve = frontier(*parts)
+        if not _sags_below_hull(curve):
+            return curve
+    return frontier(*parts, hull=True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +291,7 @@ def sumrate_simultaneous(
     eh, cost, a = params.eh, params.cost, params.a
 
     if isinstance(cost, ConstCost):
-        rho = _const_threshold_rho(params, cost.phi0, "joint")
+        rho = _balance_root(params, lambda x: cost.phi0, "joint")
         sum_rate = rate_bound_sum(params, rho, drop_denominator_noise)
         return SolveReport(
             rho_opt=rho,
@@ -317,10 +305,7 @@ def sumrate_simultaneous(
     def bound(rho):
         return rate_bound_sum(params, rho, drop_denominator_noise)
 
-    def resid(x):
-        return cost.eval(bound(x)) - eh.eval(x * a)
-
-    rho = bisect_root(resid, 0.0, 1.0, _ROOT)
+    rho = _balance_root(params, lambda x: cost.eval(bound(x)), "sum-rate")
     sum_rate = bound(rho)
     upper = cost.inverse(eh.eval(a))
     if sum_rate > upper + 1e-9:  # pragma: no cover - structural guarantee
@@ -328,7 +313,7 @@ def sumrate_simultaneous(
     return SolveReport(
         rho_opt=rho,
         sum_rate=sum_rate,
-        residuals={"cost_balance_w": resid(rho)},
+        residuals={"cost_balance_w": cost.eval(sum_rate) - eh.eval(rho * a)},
         bound=upper,
         candidates=[(rho, sum_rate, "cost-balance-root")],
         notes={"drop_denominator_noise": drop_denominator_noise},

@@ -41,7 +41,9 @@ from .classical_simul import (
 )
 from .classical_sic import mdrb_sic, sic_max_sum_at_rho, sic_sumrate_numeric
 from .coop_mac import _solve, coop_mdrb, coop_solve_general
-from .oracle import oracle_coop_weighted, oracle_sic_sumrate, oracle_simul_sumrate
+from .oracle import (
+    _MAX_GRID, _rho_points, oracle_coop_weighted, oracle_sic_sumrate, oracle_simul_sumrate,
+)
 
 __all__ = ["ConfigError", "RunConfig", "ingest_config", "PRESETS", "main"]
 
@@ -297,6 +299,12 @@ def ingest_config(kv: dict) -> RunConfig:
                        ("scan_points", 3), ("oracle_grid", 2)):
         if getattr(cfg, key) < least:
             raise ConfigError(key, f"must be >= {least}")
+    if cfg.oracle_grid > _MAX_GRID:
+        raise ConfigError("oracle_grid", f"must be <= {_MAX_GRID}")
+    try:  # the oracle's own ceiling, checked without allocating the grid
+        _rho_points(cfg.oracle_rho_step)
+    except ValueError as err:
+        raise ConfigError("oracle_rho_step", str(err)) from None
 
     if scenario in ("classical-simul", "classical-sic"):
         if "h1_sq" in kv or "h2_sq" in kv:
@@ -408,7 +416,7 @@ def cmd_region(cfg: RunConfig, out_path: str | None) -> int:
         curve = coop_mdrb(cfg.coop, weights=weights, scan=cfg.scan)
         tag = lambda m: f"mu1={_fmt(m.get('mu1', ''))};mu2={_fmt(m.get('mu2', ''))}"
     lines = [header]
-    if not curve.points:
+    if not len(curve):
         lines.append(f"# empty: {curve.empty_reason or 'no feasible rate pair'}")
     hulled = "1" if curve.hulled else "0"
     for pt, m in zip(curve.points, curve.metadata):

@@ -66,7 +66,7 @@ from .models import (
     PowerAllocation,
     SaturationError,
 )
-from .numerics import ScanConfig, SingularMatrixError, solve_2x2
+from .numerics import ConvergenceError, ScanConfig, SingularMatrixError, solve_2x2
 from .region import BoundaryCurve, frontier
 from .classical_simul import _snr_bound
 
@@ -82,6 +82,9 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _BITS = 46  # each bisection stops at a bracket of 2^-_BITS of its axis
+# a bracket within its axis closes to 2^-_BITS of it in about _BITS + 1
+# passes; _bisect raises on one still open after _MAX_PASSES
+_MAX_PASSES = 4 * _BITS
 _TOL_FLOOR = math.ulp(0.0)  # the smallest subnormal float (see _tol)
 _P12_STEPS = 8  # p12 grid steps per ScanConfig grid step
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # a zoom level: 16 points on each side
@@ -221,12 +224,18 @@ def _bisect(bt: _Batch, p12, lo, hi, tol):
     [lo, hi] until hi - lo <= tol, lo feasible throughout and hi
     infeasible (or p21* itself).  Each point stops on its own, so its
     result does not depend on the rest of the batch.  Returns lo, hi and
-    the number of test batches run."""
+    the number of test batches run; raises ConvergenceError when a bracket
+    is still open after _MAX_PASSES batches."""
     r1 = _rate(bt.b * p12)
     pre = r1, bt.phi2(r1)
     passes = 0
     act = hi - lo > tol
     while act.any():
+        if passes == _MAX_PASSES:
+            raise ConvergenceError(
+                f"{np.count_nonzero(act)} boundary brackets still wider than "
+                f"their tolerance after {passes} passes"
+            )
         mid = 0.5 * (lo + hi)
         ok = _test(bt, p12, mid, pre)["ok"]
         lo = np.where(act & ok, mid, lo)
@@ -660,19 +669,13 @@ def coop_mdrb(
             raise RuntimeError(
                 f"cooperative solve at weights ({sol.mu1}, {sol.mu2}) is invalid"
             )
-
-    def meta_of(i):
-        sol = sols[i]
-        return {
-            "mu1": sol.mu1,
-            "mu2": sol.mu2,
-            "source": sol.source,
-            "rho": sol.rho,
-            **asdict(sol.alloc),
-            "weighted_rate": sol.weighted_rate,
-        }
-
     return frontier(
-        [sol.r1 for sol in sols], [sol.r2 for sol in sols],
-        [sol.rho for sol in sols], meta_of, hull=True,
+        *(
+            ([sol.r1], [sol.r2], [sol.rho], {
+                "mu1": sol.mu1, "mu2": sol.mu2, "source": sol.source,
+                **asdict(sol.alloc), "weighted_rate": sol.weighted_rate,
+            })
+            for sol in sols
+        ),
+        hull=True,
     )

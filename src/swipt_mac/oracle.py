@@ -9,7 +9,9 @@ for the 201^3 cooperative grid, one-sided: every grid point is feasible,
 so the oracle is a lower bound the solver must meet or beat, and the
 grid's own shortfall against the solver stays below 5e-2 bits (worst
 cases sit near budget corners, where the pitch in each power variable
-under-resolves the binding surfaces).
+under-resolves the binding surfaces).  No oracle array holds more than
+2^24 floats: a finer rho grid or a larger cooperative grid raises
+ValueError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,11 +37,30 @@ __all__ = [
 ]
 
 
-def _rho_grid(rho_step: float):
+# the ceiling on every oracle array: 2^24 floats (128 MiB), which admits a
+# rho_step down to about 6e-8 and a cooperative grid up to 4096
+_MAX_POINTS = 2 ** 24
+_MAX_GRID = 4096  # oracle_coop_weighted's rho planes hold grid^2 points
+
+
+def _rho_points(rho_step: float) -> int:
+    """Points of the uniform rho grid on [0, 1] nearest pitch rho_step;
+    ValueError outside (0, 1] or above the ceiling, before any allocation."""
     if not 0.0 < rho_step <= 1.0:
         raise ValueError("rho_step must lie in (0, 1]")
     n = int(round(1.0 / rho_step)) + 1
-    return np.linspace(0.0, 1.0, n)
+    if n > _MAX_POINTS:
+        raise ValueError(
+            f"rho_step {rho_step!r} asks for {n} grid points, above the ceiling of {_MAX_POINTS}"
+        )
+    return n
+
+
+def _rho_grid(rho_step: float):
+    """The rho grid nearest pitch rho_step and the pitch it has, which
+    differs from rho_step unless 1/rho_step is whole."""
+    n = _rho_points(rho_step)
+    return np.linspace(0.0, 1.0, n), 1.0 / (n - 1)
 
 
 def oracle_simul_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> SolveReport:
@@ -49,7 +70,7 @@ def oracle_simul_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Sol
     harvested power); individual bounds never cut the sum (their sum always
     exceeds the joint bound).
     """
-    rho = _rho_grid(rho_step)
+    rho, pitch = _rho_grid(rho_step)
     y = 1.0 - rho
     a, n, n_p = params.a, params.n, params.n_p
     bound = 0.5 * np.log2(1.0 + y * (a - n) / (y * n + n_p))
@@ -61,7 +82,7 @@ def oracle_simul_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Sol
         sum_rate=float(sums[i]),
         residuals={},
         bound=float(bound[i]),
-        notes={"rho_step": rho_step, "grid_points": rho.size},
+        notes={"rho_step": pitch, "grid_points": rho.size},
     )
 
 
@@ -74,7 +95,7 @@ def oracle_sic_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Solve
     Infeasible candidates are masked to -inf rather than clamped, so the
     maximum is never taken over an unaffordable point.
     """
-    rho = _rho_grid(rho_step)
+    rho, pitch = _rho_grid(rho_step)
     y = 1.0 - rho
     n, n_p = params.n, params.n_p
     cost = params.cost
@@ -118,7 +139,7 @@ def oracle_sic_sumrate(params: ClassicalParams, rho_step: float = 1e-5) -> Solve
         rho_opt=best_rho,
         sum_rate=best_val,
         residuals={},
-        notes={"rho_step": rho_step, "grid_points": rho.size, "branch": best_tag},
+        notes={"rho_step": pitch, "grid_points": rho.size, "branch": best_tag},
     )
 
 
@@ -141,8 +162,8 @@ def oracle_coop_weighted(
         raise TypeError("the cooperative grid oracle needs Exp user costs")
     if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
         raise ValueError("weights must be non-negative and not both zero")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if not 2 <= grid <= _MAX_GRID:
+        raise ValueError(f"grid must lie in [2, {_MAX_GRID}]")
     b, c = params.b, params.c
     beta1, beta2 = params.cost_user1.beta, params.cost_user2.beta
     k = 1.0 - beta1 * beta2 * b * c

@@ -7,47 +7,57 @@ every convex combination achievable, so the physically meaningful envelope
 of a point cloud is its upper concave hull augmented with the axis
 intercepts.
 
-Clouds are processed as arrays by one core that clamps roundoff
-negatives, sorts, drops near-duplicate r2 values, optionally runs the
-monotone chain, Pareto-cleans and returns the indices of the points that
-survive; RatePoints and metadata dicts are built for those points only.
-The solvers hand their rho sweeps to frontier() (see sweeps()).
+The solvers hand frontier() their rho sweeps as parts (r1, r2, rho,
+labels).  One array core clamps roundoff negatives, sorts, drops
+near-duplicate r2 values, optionally runs the monotone chain, Pareto-cleans
+and keeps the points that survive; the curve stores them as arrays, with
+one label dict per part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import RatePoint
 
-__all__ = ["BoundaryCurve", "frontier", "sweeps", "envelope", "dominates", "hausdorff"]
+__all__ = ["BoundaryCurve", "frontier", "dominates", "hausdorff"]
 
 _NEG_TOL = 1e-12  # clamp threshold for tiny negative rates from roundoff
 _DUP_R2 = 1e-15  # r2 values closer than this to the last kept one are duplicates
+_NONE = np.zeros(0)  # frontier() of no parts is the empty cloud
+_TAG = ({}, {"intercept": True})  # metadata added to a point, by its intercept flag
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoundaryCurve:
-    """Discretized rate-region frontier with per-point solver metadata.
+    """Discretized rate-region frontier, stored as arrays.
 
-    points are sorted by strictly increasing r2 with non-increasing r1;
-    metadata is a parallel list of dicts (PS factor, decoding order or
-    weight pair, solver source, ...); hulled records whether a time-sharing
-    envelope was applied; empty_reason documents why a curve has no points.
+    r1, r2 and rho are float arrays sorted by strictly increasing r2 with
+    non-increasing r1; labels is a table of metadata dicts (decoding order,
+    segment, weight pair, solver source, ...) and label[k] the entry of
+    point k; intercept[k] marks an axis intercept added by the time-sharing
+    envelope.  hulled records whether that envelope was applied;
+    empty_reason documents why a curve has no points.  points and metadata
+    are tuples built from the arrays when they are first read.
     """
 
-    points: list = field(default_factory=list)
-    metadata: list = field(default_factory=list)
+    r1: np.ndarray = ()
+    r2: np.ndarray = ()
+    rho: np.ndarray = ()
+    labels: tuple = ({},)
+    label: np.ndarray = 0
+    intercept: np.ndarray = False
     hulled: bool = False
     empty_reason: str | None = None
 
-    def __post_init__(self):
-        if self.metadata and len(self.metadata) != len(self.points):
-            raise ValueError("metadata must parallel points")
-        if not self.metadata:
-            self.metadata = [{} for _ in self.points]
+    def __post_init__(self):  # the arrays must be parallel (or broadcast)
+        self.r1, self.r2, self.rho, self.label, self.intercept = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (self.r1, self.r2, self.rho)),
+            self.label, self.intercept,
+        )
         self.validate()
 
     def validate(self):
@@ -67,39 +77,47 @@ class BoundaryCurve:
         raise ValueError("r1 must be non-increasing")
 
     def __len__(self):
-        return len(self.points)
+        return self.r1.size
 
-    @property
-    def r1(self):
-        return np.array([p.r1 for p in self.points])
+    def __repr__(self):
+        return (f"BoundaryCurve(points={list(self.points)}, metadata={list(self.metadata)}, "
+                f"hulled={self.hulled}, empty_reason={self.empty_reason!r})")
 
-    @property
-    def r2(self):
-        return np.array([p.r2 for p in self.points])
+    @functools.cached_property
+    def points(self):
+        """The points as a tuple of RatePoints, built when first read."""
+        return tuple(map(RatePoint, self.r1.tolist(), self.r2.tolist(), self.rho.tolist()))
+
+    @functools.cached_property
+    def metadata(self):
+        """Each point's metadata dict, {"rho": rho, **its label} plus
+        intercept=True on an added axis intercept, built when first read."""
+        return tuple(
+            {"rho": rho, **self.labels[k], **_TAG[axis]}
+            for rho, k, axis in zip(self.rho.tolist(), self.label.tolist(), self.intercept.tolist())
+        )
 
     def max_r1(self):
-        return max((p.r1 for p in self.points), default=0.0)
+        return float(self.r1.max()) if self.r1.size else 0.0
 
     def max_r2(self):
-        return max((p.r2 for p in self.points), default=0.0)
+        return float(self.r2.max()) if self.r2.size else 0.0
 
     def interp_r1(self, r2):
         """Piecewise-linear r1 at the query r2 (flat beyond the ends)."""
         return np.interp(r2, self.r2, self.r1)
 
 
-def _survivors(r1, r2, hull, point_of):
+def _survivors(r1, r2, rho, hull):
     """The points of a cloud on its frontier (hull=False) or on its
     time-sharing envelope (hull=True), in increasing r2.
 
-    Returns (src, r1, r2, axis) as lists: src[k] is the input index of
+    Returns (src, r1, r2, axis) as arrays: src[k] is the input index of
     survivor k, r1[k]/r2[k] its rates after clamping, and axis[k] whether it
     is an axis intercept added for the hull (point src[k] moved onto an
-    axis).  A rate below -_NEG_TOL raises ValueError naming point_of(i);
+    axis).  A rate below -_NEG_TOL raises ValueError naming the point;
     smaller negatives are roundoff and clamp to zero.
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
     n = r1.size
     if hull and n == 0:
         raise ValueError("need at least one point")
@@ -109,7 +127,8 @@ def _survivors(r1, r2, hull, point_of):
         if bad.size:
             i = int(bad[0])
             which = "r1" if r1[i] < -_NEG_TOL else "r2"
-            raise ValueError(f"negative {which} in {point_of(i)}")
+            point = RatePoint(float(r1[i]), float(r2[i]), float(rho[i]))
+            raise ValueError(f"negative {which} in {point}")
         r1 = np.where(low1, 0.0, r1)
         r2 = np.where(low2, 0.0, r2)
     src = np.arange(n)
@@ -156,65 +175,26 @@ def _survivors(r1, r2, hull, point_of):
     keep = np.ones(order.size, dtype=bool)
     keep[:-1] = s1[:-1] >= np.maximum.accumulate(s1[::-1])[-2::-1]
     order = order[keep]
-    return (
-        src[order].tolist(), r1[order].tolist(), r2[order].tolist(),
-        (order >= n).tolist(),
-    )
+    return src[order], r1[order], r2[order], order >= n
 
 
-def frontier(r1, r2, rho, meta_of, hull=False):
-    """BoundaryCurve of a cloud given as parallel sequences.
+def frontier(*parts, hull=False):
+    """BoundaryCurve of the cloud made of parts (r1, r2, rho, labels): three
+    equal-length sequences and the label dict its points share.
 
-    hull=False gives its Pareto frontier (flat runs kept), hull=True its
-    time-sharing envelope with the axis intercepts, tagged intercept=True
-    (collinear points kept; an empty cloud raises ValueError).  meta_of(i)
-    returns the metadata dict of input point i; it is called, and
-    RatePoints are built, for the surviving points only.
-    """
-    return _curve(_survivors(r1, r2, hull, _point_of(r1, r2, rho)), rho, meta_of, hull)
-
-
-def _point_of(r1, r2, rho):
-    return lambda i: RatePoint(float(r1[i]), float(r2[i]), rho[i])
-
-
-def _curve(survivors, rho, meta_of, hull):
-    """BoundaryCurve of _survivors' output, built for the survivors only."""
-    src, s1, s2, axis = survivors
-    return BoundaryCurve(
-        points=[RatePoint(a, b, rho[i]) for i, a, b in zip(src, s1, s2)],
-        metadata=[
-            dict(meta_of(i), intercept=True) if on_axis else meta_of(i)
-            for i, on_axis in zip(src, axis)
-        ],
-        hulled=hull,
-    )
-
-
-def sweeps(*parts):
-    """Concatenate rho sweeps into frontier()'s (r1, r2, rho, meta_of).
-
-    Each part is (r1, r2, rho, labels) with equal-length arrays; point i of
-    a part carries the metadata {"rho": rho[i], **labels}.
+    hull=False gives the cloud's Pareto frontier (flat runs kept), hull=True
+    its time-sharing envelope with the axis intercepts, flagged in
+    intercept (collinear points kept; an empty cloud raises ValueError).
     """
     r1, r2, rho = (
-        np.concatenate([np.asarray(p[k], dtype=float) for p in parts])
+        np.concatenate([_NONE, *(np.asarray(p[k], dtype=float) for p in parts)])
         for k in range(3)
     )
-    rho = rho.tolist()
-    labels = sum(([p[3]] * len(p[2]) for p in parts), [])  # point i carries labels[i]
-
-    def meta_of(i):
-        return {"rho": rho[i], **labels[i]}
-
-    return r1, r2, rho, meta_of
-
-
-def envelope(r1, r2):
-    """(r1, r2) arrays of the rates of frontier(..., hull=True)'s points,
-    with no curve."""
-    _, e1, e2, _ = _survivors(r1, r2, True, lambda i: (r1[i], r2[i]))
-    return np.array(e1), np.array(e2)
+    part = np.repeat(np.arange(len(parts)), [len(p[2]) for p in parts])
+    src, s1, s2, axis = _survivors(r1, r2, rho, hull)
+    return BoundaryCurve(
+        s1, s2, rho[src], tuple(p[3] for p in parts), part[src], axis, hull
+    )
 
 
 def dominates(curve_a: BoundaryCurve, curve_b: BoundaryCurve, tol: float):
@@ -223,7 +203,7 @@ def dominates(curve_a: BoundaryCurve, curve_b: BoundaryCurve, tol: float):
     Checks curve_a's interpolated r1 at every r2 sample of curve_b, plus
     the reach condition on the largest r2.
     """
-    if not curve_a.points or not curve_b.points:
+    if not len(curve_a) or not len(curve_b):
         raise ValueError("dominates needs non-empty curves")
     if curve_a.max_r2() < curve_b.max_r2() - tol:
         return False
@@ -254,7 +234,7 @@ def _points_to_segments_dist(px, py, ax, ay, bx, by):
 
 def hausdorff(curve_a: BoundaryCurve, curve_b: BoundaryCurve):
     """Symmetric Hausdorff distance between two frontier polylines [bits]."""
-    if not curve_a.points or not curve_b.points:
+    if not len(curve_a) or not len(curve_b):
         raise ValueError("hausdorff needs non-empty curves")
 
     def arrays(curve):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.classical_sic as sic
@@ -63,11 +65,7 @@ def test_additive_fee_shares_its_corner_breakpoint_with_simultaneous():
 
 
 def _mirror(curve):
-    pts = curve.points
-    return frontier(
-        [p.r2 for p in pts], [p.r1 for p in pts], [p.rho for p in pts],
-        curve.metadata.__getitem__, hull=True,
-    )
+    return frontier((curve.r2, curve.r1, curve.rho, {}), hull=True)
 
 
 def test_region_is_mirror_symmetric_under_user_swap():
@@ -334,3 +332,42 @@ def test_infeasible_breakpoints_raise_on_every_call():
         with pytest.raises(InfeasibleRegionError):
             sic_breakpoints(params, DecodingOrder.USER1_FIRST)
     assert sic._breakpoints.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# each sum-rate solver reaches the largest sum on its own region
+# ---------------------------------------------------------------------------
+
+# a LogCost channel whose SIC optimum is the user2_first corner at rho_2, a
+# sweep end that roundoff leaves a hair short of the pinned message's fee
+_CORNER = sm.ClassicalParams(
+    h1_sq=0.02290268995507196, h2_sq=0.011174713435384833,
+    p1=0.36497462925405955, p2=0.18638664201711666, n=1e-6, n_p=1e-3,
+    eh=iv_eh(), cost=sm.LogCost(beta=0.014207063522703638),
+)
+
+
+@st.composite
+def _channels(draw):
+    """Channels drawn as the classical benchmark draws them: Exp, Log or Lin
+    fees, either harvester."""
+    h1, h2 = draw(st.floats(0.02, 0.2)), draw(st.floats(0.02, 0.2))
+    eh = draw(st.one_of(st.just(iv_eh()), st.floats(0.3, 1.0).map(sm.LinearEh)))
+    family = draw(st.sampled_from((sm.ExpCost, sm.LogCost, sm.LinCost)))
+    return sm.ClassicalParams(
+        h1_sq=h1 * h1, h2_sq=h2 * h2,
+        p1=draw(st.floats(0.1, 1.0)), p2=draw(st.floats(0.1, 1.0)),
+        n=1e-6, n_p=1e-3, eh=eh, cost=family(10.0 ** draw(st.floats(-3.2, -1.5))),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_channels())
+@example(_CORNER)
+def test_each_sum_rate_reaches_the_largest_sum_on_its_region(params):
+    def widest(curve):
+        return float(np.max(curve.r1 + curve.r2))
+
+    simul = sm.sumrate_simultaneous(params).sum_rate
+    assert simul >= widest(sm.mdrb_simultaneous(params)) - 1e-9
+    assert sic_sumrate_numeric(params).sum_rate >= widest(sm.mdrb_sic(params)) - 1e-9

@@ -16,7 +16,7 @@ from swipt_mac.classical_simul import (
     simul_closed_form,
     simul_feasible,
 )
-from swipt_mac.region import BoundaryCurve, envelope, frontier, sweeps
+from swipt_mac.region import BoundaryCurve, frontier
 
 from conftest import iv_classical, iv_eh
 
@@ -186,13 +186,13 @@ def test_simul_feasible_rejects_each_violated_constraint():
 
 
 def _ref_mdrb_simultaneous(params, n_points=512):
-    """(curve, branch) by the path mdrb_simultaneous replaced: the raw
-    frontier is built as a curve, sag-tested through its points and, on a
-    sag, discarded for the hull of the cloud."""
+    """(curve, branch) built step by step: the raw frontier is built as a
+    curve, sag-tested through its points and, on a sag, discarded for the
+    hull of the cloud."""
     try:
         bp = simul_breakpoints(params)
     except InfeasibleRegionError as err:
-        return BoundaryCurve(points=[], metadata=[], empty_reason=str(err)), "empty"
+        return BoundaryCurve(empty_reason=str(err)), "empty"
     if isinstance(params.cost, sm.ConstCost):
         return cs._pentagon_curve(params, bp.rho_c, n_points), "pentagon"
     eh, cost, a = params.eh, params.cost, params.a
@@ -211,7 +211,7 @@ def _ref_mdrb_simultaneous(params, n_points=512):
     b2c = rate_bound_user2(params, bp.rho_c)
     r2_face = np.linspace(max(s - b1c, 0.0), min(b2c, s), max(n_points // 8, 2))
     r1_face = np.where(s - r2_face < 0.0, 0.0, s - r2_face)
-    cloud = sweeps(
+    cloud = (
         (r1_seg, r2_seg, rho1_grid, {"segment": "user2-pinned"}),
         (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
         (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
@@ -219,9 +219,11 @@ def _ref_mdrb_simultaneous(params, n_points=512):
     if not cs._convexity_holds(params, min(bp.rho_1, bp.rho_2) * a, bp.rho_c * a):
         return frontier(*cloud, hull=True), "non-convex"
     raw = frontier(*cloud)
-    hull_r1, hull_r2 = envelope(raw.r1, raw.r2)
-    sag = np.interp(raw.r2, hull_r2, hull_r1) - raw.r1
-    if np.max(sag) > 1e-9 * max(1.0, float(hull_r1.max())):
+    r1 = np.array([p.r1 for p in raw.points])
+    r2 = np.array([p.r2 for p in raw.points])
+    hull = frontier((r1, r2, np.zeros(r1.size), {}), hull=True)
+    sag = np.interp(r2, hull.r2, hull.r1) - r1
+    if np.max(sag) > 1e-9 * max(1.0, float(hull.r1.max())):
         return frontier(*cloud, hull=True), "sag"
     return raw, "convex"
 

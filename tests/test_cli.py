@@ -286,6 +286,9 @@ def test_verify_fails_a_solver_short_of_its_oracle(tmp_path, monkeypatch, capsys
         ("oracle_rho_step", "0", "1"),
         ("oracle_rho_step", "-0.01", "1e-5"),
         ("oracle_rho_step", "1.5", "1"),
+        # the oracle's memory ceiling; its edge is not allocated here
+        ("oracle_rho_step", "1e-9", "1e-7"),
+        ("oracle_grid", "4097", "4096"),
     ],
 )
 def test_out_of_range_knobs_fail_at_config_time(key, bad, edge, tmp_path, capsys):

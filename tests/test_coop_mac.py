@@ -1,6 +1,7 @@
 """Cooperative MAC: weighted-sum-rate solves, the linear-system shortcut,
 constraint slacks and the weighted frontier."""
 
+import contextlib
 import dataclasses
 import math
 import signal
@@ -21,7 +22,7 @@ from swipt_mac.coop_mac import (
     coop_solve_closed_form,
     coop_solve_general,
 )
-from swipt_mac.numerics import ScanConfig
+from swipt_mac.numerics import ConvergenceError, ScanConfig
 
 from conftest import iv_coop, iv_eh
 
@@ -481,6 +482,22 @@ def test_unhashable_model_is_traced_afresh():
     assert sol == coop_solve_general(iv_coop(0.008, 1e-3), 0.5, 0.5, FAST)
 
 
+@contextlib.contextmanager
+def _deadline(seconds, what):
+    """Raise TimeoutError in the block once it has run `seconds`."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"{what} did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @pytest.mark.parametrize("budget", [1e-310, 5e-324])
 @pytest.mark.parametrize("users", ["both", "one"])
 def test_subnormal_budgets_terminate(budget, users):
@@ -489,20 +506,23 @@ def test_subnormal_budgets_terminate(budget, users):
     fig5a = cli.ingest_config(cli.PRESETS["fig5a"]).coop
     budgets = (budget, budget if users == "both" else fig5a.p_u2_budget)
     params = dataclasses.replace(fig5a, p_u1_budget=budgets[0], p_u2_budget=budgets[1])
-
-    def hang(signum, frame):
-        raise TimeoutError("coop_solve_general did not return")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(30)
-    try:
+    with _deadline(30, "coop_solve_general"):
         sol = coop_solve_general(params, 0.5, 0.5)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     slacks = coop_constraints_eval(params, sol.alloc, sol.rho, sol.r1, sol.r2)
     for key, val in slacks.items():
         assert val >= -1e-9, key
     # both budgets are spent exactly, the subnormal ones to the last bit
     for k, bud in enumerate(budgets, 1):
         assert abs(slacks[f"budget{k}_w"]) <= 1e-12 * bud
+
+
+def test_boundary_bisection_gives_up_at_its_pass_cap():
+    # the midpoint of two adjacent floats is one of them, so with a zero
+    # tolerance the bracket never closes
+    params = iv_coop(0.008, 1e-3)
+    bt = coop_mac._Batch((coop_mac._Ctx(params), coop_mac._Ctx(params.swapped())), np.array([0]))
+    lo = np.array([[0.1]])
+    hi = np.nextafter(lo, 1.0)
+    assert 0.5 * (lo + hi) in (lo, hi)
+    with _deadline(30, "_bisect"), pytest.raises(ConvergenceError, match="passes"):
+        coop_mac._bisect(bt, np.zeros_like(lo), lo, hi, 0.0)

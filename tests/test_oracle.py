@@ -7,6 +7,7 @@ import swipt_mac as sm
 from swipt_mac.classical_sic import sic_sumrate_numeric
 from swipt_mac.coop_mac import classicalized, coop_constraints_eval, coop_solve_general
 from swipt_mac.numerics import ScanConfig
+from swipt_mac.oracle import _rho_points
 
 from conftest import iv_classical, iv_coop
 
@@ -104,6 +105,28 @@ def test_grid_sizes_outside_their_range_raise():
     assert len(sm.mdrb_simultaneous(feasible, n_points=2)) > 0
     assert sm.oracle_sic_sumrate(feasible, rho_step=1.0).notes["grid_points"] == 2
     assert sm.oracle_coop_weighted(iv_coop(0.008, 1e-3), 0.5, 0.5, grid=2).weighted_rate >= 0.0
+
+
+def test_oracle_sizes_above_the_ceiling_raise_before_allocating():
+    # the checks run before any grid exists, so these sizes allocate nothing
+    params = iv_classical(sm.ExpCost(1e-3))
+    for step in (1e-9, 5e-8):
+        with pytest.raises(ValueError, match="rho_step"):
+            sm.oracle_simul_sumrate(params, rho_step=step)
+        with pytest.raises(ValueError, match="rho_step"):
+            sm.oracle_sic_sumrate(params, rho_step=step)
+    for grid in (4097, 10**6):
+        with pytest.raises(ValueError, match="grid"):
+            sm.oracle_coop_weighted(iv_coop(0.008, 1e-3), 0.5, 0.5, grid=grid)
+    assert _rho_points(1e-7) == 10**7 + 1  # the finest step the suite's studies use
+
+
+def test_oracle_notes_record_the_pitch_it_scanned():
+    params = iv_classical(sm.ExpCost(1e-3))
+    for step, pitch, points in ((0.3, 1.0 / 3.0, 4), (0.4, 0.5, 3), (0.7, 1.0, 2), (1e-3, 1e-3, 1001)):
+        for oracle in (sm.oracle_simul_sumrate, sm.oracle_sic_sumrate):
+            notes = oracle(params, rho_step=step).notes
+            assert (notes["rho_step"], notes["grid_points"]) == (pitch, points)
 
 
 def _full_grid_argmax(params, mu1, mu2, grid):

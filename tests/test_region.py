@@ -6,19 +6,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swipt_mac as sm
-from swipt_mac.region import frontier, sweeps
+from swipt_mac.region import frontier
 
 
 def pt(r1, r2, rho=0.5):
     return sm.RatePoint(r1, r2, rho)
 
 
+def columns(points):
+    """(r1, r2, rho) lists of a RatePoint list."""
+    return [p.r1 for p in points], [p.r2 for p in points], [p.rho for p in points]
+
+
+def curve_of(points):
+    """A BoundaryCurve holding a RatePoint list as given."""
+    return sm.BoundaryCurve(*columns(points))
+
+
 def frontier_of(points, hull=False):
-    """frontier() of a RatePoint list, with empty metadata."""
-    return frontier(
-        [p.r1 for p in points], [p.r2 for p in points], [p.rho for p in points],
-        lambda i: {}, hull,
-    )
+    """frontier() of a RatePoint list, with empty labels."""
+    return frontier((*columns(points), {}), hull=hull)
 
 
 def hull_of(points):
@@ -56,7 +63,7 @@ def test_assemble_clamps_roundoff_negatives_but_rejects_real_ones():
 
 def test_boundary_curve_rejects_ascending_r1():
     with pytest.raises(ValueError):
-        sm.BoundaryCurve(points=[pt(0.2, 0.1), pt(0.5, 0.3)])
+        curve_of([pt(0.2, 0.1), pt(0.5, 0.3)])
 
 
 def test_upper_hull_adds_axis_intercept():
@@ -99,17 +106,16 @@ def test_upper_hull_is_concave_and_contains_input_over_random_clouds():
 
 
 def test_sweeps_build_metadata_for_the_survivors_only():
-    r1, r2, rho, meta_of = sweeps(
+    parts = (
         (np.array([1.0, 0.5, 0.2]), np.array([0.0, 0.5, 0.4]),
          np.array([0.1, 0.2, 0.3]), {"order": "a", "segment": "s1"}),
         ([0.0], [1.0], [0.4], {"segment": "s2"}),
     )
-    assert [meta_of(i)["segment"] for i in range(4)] == ["s1", "s1", "s1", "s2"]
     for hull in (False, True):
-        calls = []
-        curve = frontier(r1, r2, rho, lambda i: calls.append(i) or meta_of(i), hull)
-        # (0.2, 0.4) lies under (0.5, 0.5): no point or metadata is built for it
-        assert sorted(calls) == [0, 1, 3]
+        curve = frontier(*parts, hull=hull)
+        # (0.2, 0.4) lies under (0.5, 0.5): only the other three survive
+        assert curve.labels == ({"order": "a", "segment": "s1"}, {"segment": "s2"})
+        assert curve.label.tolist() == [0, 0, 1]
         assert [list(m.items()) for m in curve.metadata] == [
             [("rho", 0.1), ("order", "a"), ("segment", "s1")],
             [("rho", 0.2), ("order", "a"), ("segment", "s1")],
@@ -137,7 +143,7 @@ def test_dominates_weak_containment_and_reach():
 
 def test_dominates_rejects_empty_curves():
     curve = hull_of([pt(1.0, 0.5)])
-    empty = sm.BoundaryCurve(points=[], empty_reason="fee exceeds harvest")
+    empty = sm.BoundaryCurve(empty_reason="fee exceeds harvest")
     with pytest.raises(ValueError):
         sm.dominates(curve, empty, 1e-9)
     with pytest.raises(ValueError):
@@ -153,8 +159,8 @@ def test_hausdorff_zero_on_identical_and_symmetric():
 
 
 def test_hausdorff_known_offset():
-    a = sm.BoundaryCurve(points=[pt(1.0, 0.0), pt(1.0, 1.0)])
-    b = sm.BoundaryCurve(points=[pt(1.25, 0.0), pt(1.25, 1.0)])
+    a = curve_of([pt(1.0, 0.0), pt(1.0, 1.0)])
+    b = curve_of([pt(1.25, 0.0), pt(1.25, 1.0)])
     assert sm.hausdorff(a, b) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -235,7 +241,7 @@ def _ref_hull(points, metadata):
 
 
 def _outcome(fn, *args):
-    """Points, metadata (in key order) and flag of a curve, or the error."""
+    """Points, metadata and flag of a curve, or the error."""
     try:
         out = fn(*args)
     except ValueError as err:
@@ -245,7 +251,7 @@ def _outcome(fn, *args):
     points, metadata, hulled = out
     return (
         [(p.r1.hex(), p.r2.hex(), p.rho) for p in points],
-        [list(m.items()) for m in metadata],
+        list(metadata),
         hulled,
     )
 
@@ -285,18 +291,17 @@ def _clouds(draw):
 @example([pt(1.0 - 0.1 * k, 0.5 + k * 4e-16, 0.1 * k) for k in range(6)])
 def test_array_core_matches_the_object_reference(points):
     metadata = [{"i": i, "rho": p.rho} for i, p in enumerate(points)]
-    r1 = np.array([p.r1 for p in points], dtype=float)
-    r2 = np.array([p.r2 for p in points], dtype=float)
-    rho = [p.rho for p in points]
+    # one part per point, so that each point carries its own label
+    parts = [([p.r1], [p.r2], [p.rho], {"i": i}) for i, p in enumerate(points)]
     for hull, ref in ((False, _ref_assemble), (True, _ref_hull)):
         want = _outcome(ref, points, metadata)
-        assert _outcome(frontier, r1, r2, rho, metadata.__getitem__, hull) == want
+        assert _outcome(lambda: frontier(*parts, hull=hull)) == want
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(st.lists(st.tuples(_RATES, _RATES), max_size=12))
 def test_boundary_curve_validation_matches_the_point_loop(pairs):
     points = [sm.RatePoint(r1, r2, 0.5) for r1, r2 in pairs]
-    assert _outcome(sm.BoundaryCurve, points) == _outcome(
-        lambda p: (_ref_validate(p), (p, [{} for _ in p], False))[1], points
+    assert _outcome(curve_of, points) == _outcome(
+        lambda p: (_ref_validate(p), (p, [{"rho": q.rho} for q in p], False))[1], points
     )

@@ -1,6 +1,8 @@
 """The public surface: the package re-exports what its modules export."""
 
+import ast
 import importlib
+import pathlib
 
 import swipt_mac as sm
 
@@ -29,3 +31,18 @@ def test_every_module_export_exists():
     ]
     missing += [name for name in sm.__all__ if not hasattr(sm, name)]
     assert missing == []
+
+
+def test_no_module_reaches_into_the_region_core():
+    """The solvers build curves through region's public names only."""
+    reached = []
+    for path in sorted(pathlib.Path(sm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("region"):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "region":
+                names = [node.attr]
+            else:
+                continue
+            reached += [f"{path.name}: {n}" for n in names if n.startswith("_")]
+    assert reached == []
