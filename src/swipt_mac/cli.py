@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +170,6 @@ class RunConfig:
     oracle_rho_step: float = 1e-5
     oracle_grid: int = 201
     out: str | None = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def scan(self) -> ScanConfig:
@@ -281,7 +280,7 @@ def ingest_config(kv: dict) -> RunConfig:
     n = _get_num(kv, "n")
     n_p = _get_num(kv, "n_p")
 
-    cfg = RunConfig(scenario=scenario, raw=dict(kv))
+    cfg = RunConfig(scenario=scenario)
     for key in _INT_KEYS:
         if key in kv:
             try:

@@ -132,54 +132,41 @@ class CoopSolution:
 # ---------------------------------------------------------------------------
 
 
-class _Ctx:
-    """Per-solve constants of one user labelling."""
-
-    def __init__(self, params: CoopParams):
-        self.p = params
-        self.b, self.c = params.b, params.c
-        # the coefficients of _s_total, rounded as h1*h1*(...) would round
-        self.hh1, self.hh2 = params.h1 * params.h1, params.h2 * params.h2
-        self.hh12 = 2.0 * params.h1 * params.h2
-        self.n, self.n_p, self.eh = params.n, params.n_p, params.eh
-        self.bud1, self.bud2 = params.p_u1_budget, params.p_u2_budget
-        self.phi1, self.phi2 = params.cost_user1.eval, params.cost_user2.eval
-        self.phid = params.cost_dest.eval
-
-
 def _rate(x):
     return np.log1p(x) / (2.0 * _LOG2)
 
 
-def _s_total(ctx, p12, p21, pu1, pu2):
+def _s_total(bt, p12, p21, pu1, pu2):
     return (
-        ctx.hh1 * (p12 + pu1)
-        + ctx.hh2 * (p21 + pu2)
-        + ctx.hh12 * np.sqrt(pu1 * pu2)
+        bt.hh1 * (p12 + pu1)
+        + bt.hh2 * (p21 + pu2)
+        + bt.hh12 * np.sqrt(pu1 * pu2)
     )
 
 
-_CONSTS = ("b", "c", "hh1", "hh2", "hh12", "bud1", "bud2")
-
-
 class _Batch:
-    """Rows of a trace, each in one user orientation: rows [0, split) are
-    the network as given, rows [split, R) the user-swapped one.  The
-    constants of _CONSTS are (R, 1) columns, so points lie along axis 1;
-    each row is charged its own orientation's fee families.  The models
-    are bound as their unchecked kernels: every rate and harvester input
-    _test hands them is a non-negative array by construction."""
+    """Rows of a trace, each in one user orientation of `params`: rows
+    [0, split) as given, rows [split, R) user-swapped.  b, c, the
+    coefficients of _s_total (rounded as h1*h1*(...) would round) and the
+    budgets are (R, 1) columns, so points lie along axis 1; each row pays
+    its own orientation's fees.  The models are bound as their unchecked
+    kernels: _test hands them non-negative arrays by construction."""
 
-    def __init__(self, ctxs, orient):
+    def __init__(self, params: CoopParams, orient):
         self.split = int(np.count_nonzero(orient == 0))
-        for name in _CONSTS:
-            col = np.array([getattr(ctxs[o], name) for o in orient])
-            setattr(self, name, col[:, None])
-        dest = ctxs[0].p  # the destination side is the same in both
-        self.n, self.n_p = dest.n, dest.n_p
-        self.psi, self.phid = dest.eh.kernel, dest.cost_dest.kernel
-        (a1, a2), (b1, b2) = ((ctx.p.cost_user1, ctx.p.cost_user2) for ctx in ctxs)
-        self.phi1, self.phi2 = self._per_row(a1, b1), self._per_row(a2, b2)
+        rows = [
+            (p.b, p.c, p.h1 * p.h1, p.h2 * p.h2, 2.0 * p.h1 * p.h2,
+             p.p_u1_budget, p.p_u2_budget)
+            for p in (params, params.swapped())
+        ]
+        self.b, self.c, self.hh1, self.hh2, self.hh12, self.bud1, self.bud2 = (
+            np.array(col)[orient, None] for col in zip(*rows)
+        )
+        # the destination side is the same in both orientations
+        self.n, self.n_p = params.n, params.n_p
+        self.psi, self.phid = params.eh.kernel, params.cost_dest.kernel
+        u1, u2 = params.cost_user1, params.cost_user2
+        self.phi1, self.phi2 = self._per_row(u1, u2), self._per_row(u2, u1)
 
     def _per_row(self, a, b):
         """Fee a on rows [0, split), fee b on the rest."""
@@ -295,13 +282,13 @@ def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
     constants: a solve takes those from its own params, which can differ
     from the key they hit while comparing equal (a budget of -0.0 leaves
     pu1 = -0.0)."""
-    ctxs = (_Ctx(params), _Ctx(params.swapped()))
-    both = _Batch(ctxs, np.array([0, 1]))
+    both = _Batch(params, np.array([0, 1]))
 
     # the axes: p21* at p12 = 0 in each orientation, capped by the budgets;
     # orientation o's p12 axis ends where orientation 1-o's p21 axis does
     with np.errstate(over="ignore"):
-        r_cap = np.array([ctx.p.cost_user1.rate_cap(ctx.bud1, np.inf) for ctx in ctxs])
+        r_cap = np.array([params.cost_user1.rate_cap(params.p_u1_budget, np.inf),
+                          params.cost_user2.rate_cap(params.p_u2_budget, np.inf)])
         cap = np.minimum(both.bud2[:, 0], np.expm1(2.0 * _LOG2 * r_cap) / both.c[:, 0])
     cap = cap[:, None]
     zero = np.zeros_like(cap)
@@ -323,7 +310,6 @@ def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
 def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
     """Best boundary point of each weight pair (rows of `weights`) in both
     orientations, as candidate records of the network as given."""
-    ctxs = (_Ctx(params), _Ctx(params.swapped()))
     try:
         hash(params)
     except TypeError:  # a custom model that cannot be hashed: no memo
@@ -336,7 +322,7 @@ def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
     n_w = weights.shape[0]
     orient = np.repeat([0, 1], n_w)
     mu = np.concatenate([weights, weights[:, ::-1]])[:, :, None]
-    bt = _Batch(ctxs, orient)
+    bt = _Batch(params, orient)
     xs, los = x[orient], lo[orient]
     J = mu[:, 0] * _rate(bt.b * xs) + mu[:, 1] * _rate(bt.c * los)
     nb = _neighbours(xs, los, hi[orient], J)
@@ -366,7 +352,7 @@ def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
         row = o * n_w + w
         cand = {k: float(v[row, 0]) for k, v in rec.items() if k != "ok"}
         cand.update(p12=float(x[row, 0]), p21=float(p21[row, 0]))
-        cand["rho"] = _rho(ctxs[o], cand)
+        cand["rho"] = _rho(params, cand)
         # the first constraint that fails just outside the answer
         binding = next((k for k in _SOURCE if k != "none" and not out[k][row, 0]), "none")
         cand["source"] = (
@@ -382,14 +368,15 @@ def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
     return found
 
 
-def _rho(ctx: _Ctx, cand: dict) -> float:
+def _rho(params: CoopParams, cand: dict) -> float:
     """The low end max(0, rho_min) of the optimal PS-factor interval, where
     the harvest covers the destination fee exactly; held at or below
-    rho_hi against roundoff."""
+    rho_hi against roundoff.  Only the destination side, the same in
+    both user orientations, enters."""
     rho_hi = cand["rho_hi"]
-    fee = ctx.phid(cand["r1"] + cand["r2"])
+    fee = params.cost_dest.eval(cand["r1"] + cand["r2"])
     try:
-        rho_lo = ctx.eh.inverse(fee) / (cand["s"] + ctx.n) if fee > 0.0 else 0.0
+        rho_lo = params.eh.inverse(fee) / (cand["s"] + params.n) if fee > 0.0 else 0.0
     except (SaturationError, NoInverseError):  # roundoff at a saturated fee
         rho_lo = rho_hi
     return min(max(rho_lo, 0.0), rho_hi)
@@ -622,16 +609,19 @@ def coop_constraints_eval(
     Positive means satisfied with room: link1/link2 in bits, sum MI in
     bits, destination cost in W, and the two user budgets in W.
     """
-    ctx = _Ctx(params)
+    p = params
     p12, p21, pu1, pu2 = alloc.p12, alloc.p21, alloc.pu1, alloc.pu2
-    s = float(_s_total(ctx, p12, p21, max(pu1, 0.0), max(pu2, 0.0)))
+    # S as _s_total rounds it, with no negative common power in any term
+    c1, c2 = max(pu1, 0.0), max(pu2, 0.0)
+    s = (p.h1 * p.h1 * (p12 + c1) + p.h2 * p.h2 * (p21 + c2)
+         + 2.0 * p.h1 * p.h2 * math.sqrt(c1 * c2))
     slacks = {
-        "link1_bits": _rate(ctx.b * max(p12, 0.0)) - r1,
-        "link2_bits": _rate(ctx.c * max(p21, 0.0)) - r2,
-        "sum_mi_bits": _snr_bound(s, ctx.n, ctx.n_p, rho) - (r1 + r2),
-        "dest_cost_w": ctx.eh.eval(rho * (s + ctx.n)) - ctx.phid(r1 + r2),
-        "budget1_w": ctx.bud1 - (p12 + pu1 + ctx.phi1(r2)),
-        "budget2_w": ctx.bud2 - (p21 + pu2 + ctx.phi2(r1)),
+        "link1_bits": _rate(p.b * max(p12, 0.0)) - r1,
+        "link2_bits": _rate(p.c * max(p21, 0.0)) - r2,
+        "sum_mi_bits": _snr_bound(s, p.n, p.n_p, rho) - (r1 + r2),
+        "dest_cost_w": p.eh.eval(rho * (s + p.n)) - p.cost_dest.eval(r1 + r2),
+        "budget1_w": p.p_u1_budget - (p12 + pu1 + p.cost_user1.eval(r2)),
+        "budget2_w": p.p_u2_budget - (p21 + pu2 + p.cost_user2.eval(r1)),
     }
     return {k: float(v) for k, v in slacks.items()}
 

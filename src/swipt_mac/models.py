@@ -80,9 +80,10 @@ UNBOUNDED = _Unbounded()
 _LOG2 = math.log(2.0)
 
 
-def _expit_scalar(x: float) -> float:
+def _expit_scalar(x: float, x_min=None) -> float:
     """Branch-stable scalar logistic, used for theta and the scalar eval path
-    so that psi(0) == 0 holds bitwise (same function, same argument)."""
+    so that psi(0) == 0 holds bitwise (same function, same argument).
+    x_min is _expit_array's bound, which one number does not need."""
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -160,26 +161,77 @@ def _check_finite(*values):
 
 
 # ---------------------------------------------------------------------------
+# Model families: one formula each, evaluated with one of two function sets
+# ---------------------------------------------------------------------------
+
+
+class _Scalar:
+    """Functions on one Python float: libm through math."""
+
+    expm1, log1p, expit = math.expm1, math.log1p, _expit_scalar
+    where = staticmethod(lambda cond, a, b: a if cond else b)
+    unbounded = UNBOUNDED
+
+
+class _Array:
+    """Functions on a float ndarray: numpy's ufuncs."""
+
+    expm1, log1p, expit, where = np.expm1, np.log1p, _expit_array, np.where
+    unbounded = np.inf
+
+
+class _Family:
+    """A model family: its formula, written once as _f(x, xp) against a
+    function set xp, and the evaluation every family shares.
+
+    eval checks its input and evaluates a Python number with _Scalar, any
+    other input as a float array with _Array.  kernel is the unchecked
+    array evaluation, for callers whose input is a float ndarray that is
+    non-negative by construction.
+    """
+
+    _what = "input"  # the input's name in a domain error
+
+    def __init_subclass__(cls, **kwargs):
+        # each family holds eval and inverse in its own namespace, so that
+        # they can be wrapped per family (the benchmark's tracer does)
+        super().__init_subclass__(**kwargs)
+        for name in ("eval", "inverse"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
+
+    def _f(self, x, xp):
+        raise NotImplementedError
+
+    def eval(self, x):
+        if isinstance(x, (float, int)):  # scalar fast path: solvers hammer this
+            if x < 0:
+                raise ModelDomainError(f"{self._what} must be >= 0")
+            return self._f(float(x), _Scalar)
+        return _unwrap(self._f(_check_array(x, self._what), _Array))
+
+    def kernel(self, x):
+        return self._f(x, _Array)
+
+
+# ---------------------------------------------------------------------------
 # Energy-harvesting conversion models
 # ---------------------------------------------------------------------------
 
 
-class EhModel:
+class EhModel(_Family):
     """Base class for EH conversion functions psi: input RF power -> DC power.
 
-    eval checks its input; kernel is the unchecked array evaluation behind
-    eval's array path, for callers whose input is a float ndarray that is
-    non-negative by construction.
+    A family writes psi as _f(p, xp) and its inverse on p_dc > 0 as _g(p_dc).
     """
 
-    def eval(self, p_in):
-        raise NotImplementedError
-
-    def kernel(self, p_in):
-        raise NotImplementedError
+    _what = "EH input power"
 
     def inverse(self, p_dc):
-        raise NotImplementedError
+        p_dc = float(p_dc)
+        if p_dc < 0:
+            raise ModelDomainError("DC power must be >= 0")
+        return 0.0 if p_dc == 0.0 else self._g(p_dc)
 
 
 @dataclass(frozen=True)
@@ -214,25 +266,12 @@ class LogisticEh(EhModel):
         # branch-stable scalar logistic: no overflow however large q1*q2.
         object.__setattr__(self, "theta", _expit_scalar(-self.q1 * self.q2))
 
-    def eval(self, p_in):
-        if isinstance(p_in, (float, int)):  # scalar fast path for root loops
-            if p_in < 0:
-                raise ModelDomainError("EH input power must be >= 0")
-            raw = _expit_scalar(self.q1 * (p_in - self.q2))
-            return self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
-        return _unwrap(self.kernel(_check_array(p_in, "EH input power")))
-
-    def kernel(self, p_in):
-        # on p_in >= 0 the logistic's argument is at least -q1*q2
-        raw = _expit_array(self.q1 * (p_in - self.q2), -self.q1 * self.q2)
+    def _f(self, p, xp):
+        # on p >= 0 the logistic's argument is at least -q1*q2
+        raw = xp.expit(self.q1 * (p - self.q2), -self.q1 * self.q2)
         return self.p_max_dc * (raw - self.theta) / (1.0 - self.theta)
 
-    def inverse(self, p_dc):
-        p_dc = float(p_dc)
-        if p_dc < 0:
-            raise ModelDomainError("DC power must be >= 0")
-        if p_dc == 0.0:
-            return 0.0
+    def _g(self, p_dc):
         if p_dc >= self.p_max_dc:
             raise SaturationError(
                 f"DC power {p_dc} W is at/above the saturation "
@@ -258,22 +297,10 @@ class LinearEh(EhModel):
         if not 0.0 <= self.eta <= 1.0:
             raise ModelDomainError("conversion efficiency eta must be in [0,1]")
 
-    def eval(self, p_in):
-        if isinstance(p_in, (float, int)):
-            if p_in < 0:
-                raise ModelDomainError("EH input power must be >= 0")
-            return self.eta * float(p_in)
-        return _unwrap(self.kernel(_check_array(p_in, "EH input power")))
+    def _f(self, p, xp):
+        return self.eta * p
 
-    def kernel(self, p_in):
-        return self.eta * p_in
-
-    def inverse(self, p_dc):
-        p_dc = float(p_dc)
-        if p_dc < 0:
-            raise ModelDomainError("DC power must be >= 0")
-        if p_dc == 0.0:
-            return 0.0
+    def _g(self, p_dc):
         if self.eta == 0.0:
             raise NoInverseError("eta=0 harvests nothing; no inverse for p_dc>0")
         return p_dc / self.eta
@@ -288,21 +315,21 @@ class LinearEh(EhModel):
 # ---------------------------------------------------------------------------
 
 
-class CostModel:
+class CostModel(_Family):
     """Base class for decoding-cost functions phi(R) [W], non-decreasing,
     phi(0)=0, with a generalized inverse sup{R>=0 : phi(R) <= p}.
 
-    As for EhModel, kernel is eval's array path without the checks.
+    A family writes phi as _f(r, xp) and the inverse as _g(p, xp) on
+    p >= 0, with xp.unbounded where no finite ceiling exists; inverse and
+    rate_cap are both built from _g.
     """
 
-    def eval(self, r):
-        raise NotImplementedError
-
-    def kernel(self, r):
-        raise NotImplementedError
+    _what = "rate"
 
     def inverse(self, p):
-        raise NotImplementedError
+        if p < 0:
+            raise ModelDomainError("power must be >= 0")
+        return self._g(float(p), _Scalar)
 
     def rate_cap(self, p_dc, cap):
         """min(inverse(p_dc), cap) with the UNBOUNDED sentinel resolved to
@@ -313,18 +340,14 @@ class CostModel:
         Negative available power is treated as 0 (nothing affordable).
         """
         p_dc = np.asarray(p_dc, dtype=float)
-        out = self._cap(np.maximum(p_dc, 0.0), np.asarray(cap, dtype=float))
+        out = np.minimum(self._g(np.maximum(p_dc, 0.0), _Array), np.asarray(cap, dtype=float))
         return _unwrap(np.where(p_dc < 0, 0.0, out))
 
-    def _cap(self, p, cap):
-        """rate_cap on non-negative power arrays."""
-        raise NotImplementedError
 
-
-def _check_power(p):
-    if p < 0:
-        raise ModelDomainError("power must be >= 0")
-    return float(p)
+def _check_beta(beta):
+    _check_finite(beta)
+    if not beta > 0:
+        raise ModelDomainError("beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -334,26 +357,13 @@ class ExpCost(CostModel):
     beta: float
 
     def __post_init__(self):
-        _check_finite(self.beta)
-        if not self.beta > 0:
-            raise ModelDomainError("beta must be > 0")
+        _check_beta(self.beta)
 
-    def eval(self, r):
-        if isinstance(r, (float, int)):  # scalar fast path: solvers hammer this
-            if r < 0:
-                raise ModelDomainError("rate must be >= 0")
-            return self.beta * math.expm1(2.0 * _LOG2 * r)
-        return _unwrap(self.kernel(_check_array(r, "rate")))
+    def _f(self, r, xp):
+        return self.beta * xp.expm1(2.0 * _LOG2 * r)
 
-    def kernel(self, r):
-        return self.beta * np.expm1(2.0 * _LOG2 * r)
-
-    def inverse(self, p):
-        p = _check_power(p)
-        return 0.5 * math.log1p(p / self.beta) / _LOG2
-
-    def _cap(self, p, cap):
-        return np.minimum(0.5 * np.log1p(p / self.beta) / _LOG2, cap)
+    def _g(self, p, xp):
+        return 0.5 * xp.log1p(p / self.beta) / _LOG2
 
 
 @dataclass(frozen=True)
@@ -363,26 +373,13 @@ class LogCost(CostModel):
     beta: float
 
     def __post_init__(self):
-        _check_finite(self.beta)
-        if not self.beta > 0:
-            raise ModelDomainError("beta must be > 0")
+        _check_beta(self.beta)
 
-    def eval(self, r):
-        if isinstance(r, (float, int)):
-            if r < 0:
-                raise ModelDomainError("rate must be >= 0")
-            return self.beta * math.log1p(2.0 * r) / _LOG2
-        return _unwrap(self.kernel(_check_array(r, "rate")))
+    def _f(self, r, xp):
+        return self.beta * xp.log1p(2.0 * r) / _LOG2
 
-    def kernel(self, r):
-        return self.beta * np.log1p(2.0 * r) / _LOG2
-
-    def inverse(self, p):
-        p = _check_power(p)
-        return 0.5 * math.expm1(_LOG2 * p / self.beta)
-
-    def _cap(self, p, cap):
-        return np.minimum(0.5 * np.expm1(_LOG2 * p / self.beta), cap)
+    def _g(self, p, xp):
+        return 0.5 * xp.expm1(_LOG2 * p / self.beta)
 
 
 @dataclass(frozen=True)
@@ -392,26 +389,13 @@ class LinCost(CostModel):
     beta: float
 
     def __post_init__(self):
-        _check_finite(self.beta)
-        if not self.beta > 0:
-            raise ModelDomainError("beta must be > 0")
+        _check_beta(self.beta)
 
-    def eval(self, r):
-        if isinstance(r, (float, int)):
-            if r < 0:
-                raise ModelDomainError("rate must be >= 0")
-            return 2.0 * self.beta * r
-        return _unwrap(self.kernel(_check_array(r, "rate")))
-
-    def kernel(self, r):
+    def _f(self, r, xp):
         return 2.0 * self.beta * r
 
-    def inverse(self, p):
-        p = _check_power(p)
+    def _g(self, p, xp):
         return 0.5 * p / self.beta
-
-    def _cap(self, p, cap):
-        return np.minimum(0.5 * p / self.beta, cap)
 
 
 @dataclass(frozen=True)
@@ -428,24 +412,11 @@ class ConstCost(CostModel):
         if self.phi0 < 0:
             raise ModelDomainError("phi0 must be >= 0")
 
-    def eval(self, r):
-        if isinstance(r, (float, int)):
-            if r < 0:
-                raise ModelDomainError("rate must be >= 0")
-            return self.phi0 if r > 0 else 0.0
-        return _unwrap(self.kernel(_check_array(r, "rate")))
+    def _f(self, r, xp):
+        return xp.where(r > 0, self.phi0, 0.0)
 
-    def kernel(self, r):
-        return np.where(r > 0, self.phi0, 0.0)
-
-    def inverse(self, p):
-        p = _check_power(p)
-        if p < self.phi0:
-            return 0.0
-        return UNBOUNDED
-
-    def _cap(self, p, cap):
-        return np.where(p >= self.phi0, cap, 0.0)
+    def _g(self, p, xp):
+        return xp.where(p < self.phi0, 0.0, xp.unbounded)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,22 @@ def test_const_fee_double_corner_survives_when_affordable():
     assert any(p.r1 > 0.1 and p.r2 > 0.1 for p in curve.points)
 
 
+def test_max_sum_at_rho_pays_each_constant_fee_whole():
+    # below one fee nothing decodes; between one fee and two the better
+    # single message decodes alone; with both fees paid the corner holds
+    rho = 0.5
+    free = iv_classical(sm.ConstCost(0.0))
+    budget = free.eh.eval(rho * free.a)
+    bounds = [sic_rate_bounds(free, rho, order) for order in DecodingOrder]
+    for share, want in (
+        (1.5, (0.0, "cost")),
+        (0.75, (max(max(b) for b in bounds), "cost")),
+        (0.4, (max(b1 + b2 for b1, b2 in bounds), "rate")),
+    ):
+        params = iv_classical(sm.ConstCost(share * budget))
+        assert sm.sic_max_sum_at_rho(params, rho) == want, share
+
+
 def test_numeric_sumrate_exhausts_the_harvest():
     for cost in (sm.ExpCost(1e-3), sm.LogCost(1e-3), sm.LinCost(1e-3)):
         params = iv_classical(cost)

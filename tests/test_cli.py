@@ -11,8 +11,10 @@ import sys
 import numpy as np
 import pytest
 
+import swipt_mac as sm
 import swipt_mac.cli as cli
 from swipt_mac.cli import ConfigError, PRESETS, _parse_number, ingest_config, main
+from swipt_mac.numerics import ScanConfig
 
 
 def test_parse_number_db_suffixes():
@@ -127,6 +129,45 @@ def test_region_command_emits_empty_marker(tmp_path):
     assert main(["region", "--config", str(cfg_file), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1].startswith("# empty:")
+
+
+def _region_rows(kv, tmp_path):
+    """The rows `region` prints for the config kv."""
+    cfg_file = tmp_path / "region.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    out = tmp_path / "region.csv"
+    assert main(["region", "--config", str(cfg_file), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "r2_bits,r1_bits,rho,order_or_weights,hulled"
+    return lines[1:]
+
+
+def _curve_rows(curve, tag):
+    fmt = cli._fmt
+    return [
+        f"{fmt(p.r2)},{fmt(p.r1)},{fmt(p.rho)},{tag(m)},{int(curve.hulled)}"
+        for p, m in zip(curve.points, curve.metadata)
+    ]
+
+
+def test_region_command_tags_sic_rows_by_decoding_order(tmp_path):
+    kv = dict(PRESETS["fig3a"], scenario="classical-sic", region_points="64")
+    rows = _region_rows(kv, tmp_path)
+    curve = sm.mdrb_sic(ingest_config(kv).classical, n_points=64)
+    assert rows == _curve_rows(curve, lambda m: m["order"])
+    assert {row.split(",")[3] for row in rows} == {"user1_first", "user2_first"}
+
+
+def test_region_command_tags_coop_rows_by_weights(tmp_path):
+    kv = dict(PRESETS["fig5a"], weight_count="3", scan_points="21", scan_refine="8")
+    rows = _region_rows(kv, tmp_path)
+    cfg = ingest_config(kv)
+    weights = [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+    curve = sm.coop_mdrb(cfg.coop, weights=weights, scan=ScanConfig(21, 8))
+    assert cfg.scan == ScanConfig(21, 8)
+    tag = lambda m: f"mu1={cli._fmt(m['mu1'])};mu2={cli._fmt(m['mu2'])}"
+    assert rows == _curve_rows(curve, tag)
+    assert rows and all(row.split(",")[3].startswith("mu1=") for row in rows)
 
 
 def test_sumrate_command_sweep_shape(tmp_path):
@@ -318,6 +359,22 @@ def test_exit_code_for_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("scenario = classical-simul\nwavelength = 3\n")
     assert main(["region", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"eh_q1": None}, "eh_q1"),
+    ({"eh_model": "linear"}, "eh_eta"),
+    ({"cost_beta": None}, "cost_beta"),
+    ({"cost_model": "const"}, "cost_phi0"),
+    ({"eh_model": "diode"}, "eh_model"),
+    ({"cost_model": "cubic"}, "cost_model"),
+])
+def test_model_key_errors_exit_2_and_name_the_key(over, key, tmp_path, capsys):
+    kv = {k: v for k, v in {**PRESETS["fig3a"], **over}.items() if v is not None}
+    cfg_file = tmp_path / "model.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    assert main(["region", "--config", str(cfg_file)]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
 
 
 def test_exit_code_for_infeasible_sumrate(tmp_path):

@@ -236,6 +236,23 @@ def test_constraints_eval_nonnegative_at_a_solution():
         assert val >= -1e-9, key
 
 
+def test_constraints_eval_counts_a_negative_common_power_as_zero():
+    # an overspent budget leaves pu1 < 0: S counts it as 0 in every term,
+    # and only the budget slack sees the overspend
+    params = iv_coop(0.008, 1e-3)
+    rho, r1, r2 = 0.4, 0.1, 0.2
+    over = coop_constraints_eval(params, sm.PowerAllocation(0.1, 0.2, -0.05, 0.3), rho, r1, r2)
+    zero = coop_constraints_eval(params, sm.PowerAllocation(0.1, 0.2, 0.0, 0.3), rho, r1, r2)
+    for key in ("link1_bits", "link2_bits", "sum_mi_bits", "dest_cost_w", "budget2_w"):
+        assert over[key] == zero[key], key
+    assert over["budget1_w"] == pytest.approx(zero["budget1_w"] + 0.05, rel=1e-12)
+    s = params.h1 ** 2 * 0.1 + params.h2 ** 2 * (0.2 + 0.3)
+    harvest = params.eh.eval(rho * (s + params.n))
+    assert over["dest_cost_w"] == pytest.approx(
+        harvest - params.cost_dest.eval(r1 + r2), rel=1e-12
+    )
+
+
 def test_classicalized_maps_fields():
     params = iv_coop(0.008, 1e-3)
     cp = classicalized(params)
@@ -520,7 +537,7 @@ def test_boundary_bisection_gives_up_at_its_pass_cap():
     # the midpoint of two adjacent floats is one of them, so with a zero
     # tolerance the bracket never closes
     params = iv_coop(0.008, 1e-3)
-    bt = coop_mac._Batch((coop_mac._Ctx(params), coop_mac._Ctx(params.swapped())), np.array([0]))
+    bt = coop_mac._Batch(params, np.array([0]))
     lo = np.array([[0.1]])
     hi = np.nextafter(lo, 1.0)
     assert 0.5 * (lo + hi) in (lo, hi)

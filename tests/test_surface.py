@@ -46,3 +46,21 @@ def test_no_module_reaches_into_the_region_core():
                 continue
             reached += [f"{path.name}: {n}" for n in names if n.startswith("_")]
     assert reached == []
+
+
+def test_each_model_family_states_its_formula_once():
+    """A family writes its formula once, as _f, and its inverse as _g;
+    eval, kernel, inverse and rate_cap are shared.  Each family still holds
+    eval and inverse in its own namespace, where they can be wrapped one
+    family at a time."""
+    families = {
+        sm.EhModel: (sm.LogisticEh, sm.LinearEh),
+        sm.CostModel: (sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost),
+    }
+    for base, classes in families.items():
+        for cls in classes:
+            own = vars(cls)
+            assert "_f" in own and "_g" in own, cls.__name__
+            assert "kernel" not in own and "rate_cap" not in own, cls.__name__
+            assert own["eval"] is base.eval, cls.__name__
+            assert own["inverse"] is base.inverse, cls.__name__
