@@ -40,9 +40,10 @@ from .classical_simul import (
     sumrate_simultaneous,
 )
 from .classical_sic import mdrb_sic, sic_max_sum_at_rho, sic_sumrate_numeric
-from .coop_mac import _solve, coop_mdrb, coop_solve_general
+from .coop_mac import _P12_STEPS, _check_weights, _solve, coop_mdrb, coop_solve_general
 from .oracle import (
-    _MAX_GRID, _rho_points, oracle_coop_weighted, oracle_sic_sumrate, oracle_simul_sumrate,
+    _MAX_GRID, _MAX_POINTS, _rho_points, oracle_coop_weighted, oracle_sic_sumrate,
+    oracle_simul_sumrate,
 )
 
 __all__ = ["ConfigError", "RunConfig", "ingest_config", "PRESETS", "main"]
@@ -74,6 +75,11 @@ _BASE = {
     "n_p": "-30dB",
 }
 
+_SWEEP = {**_BASE, "cost_model": "exp", "cost_beta": "0.1", "rho_points": "1001",
+          "rho_max": "0.95"}
+_COOP = {**_BASE, "scenario": "coop", "cost_model": "exp", "h_u": "0.008",
+         "weight_count": "25"}
+
 PRESETS = {
     # rate-region comparisons, one cost family each
     "fig3a": {**_BASE, "scenario": "classical-simul", "cost_model": "exp", "cost_beta": "0.001"},
@@ -82,55 +88,32 @@ PRESETS = {
     "fig3d": {**_BASE, "scenario": "classical-simul", "cost_model": "const", "cost_phi0": "0.013"},
     # sum-rate-vs-rho sweeps (saturation showcase); the curve dips toward
     # rho=1 so the sweep stops at 0.95
-    "fig4a": {
-        **_BASE,
-        "scenario": "classical-simul",
-        "cost_model": "exp",
-        "cost_beta": "0.1",
-        "rho_points": "1001",
-        "rho_max": "0.95",
-    },
-    "fig4b": {
-        **_BASE,
-        "scenario": "classical-sic",
-        "cost_model": "exp",
-        "cost_beta": "0.1",
-        "rho_points": "1001",
-        "rho_max": "0.95",
-    },
+    "fig4a": {**_SWEEP, "scenario": "classical-simul"},
+    "fig4b": {**_SWEEP, "scenario": "classical-sic"},
     # cooperation vs classical at increasing decoding-cost slopes
-    "fig5a": {
-        **_BASE,
-        "scenario": "coop",
-        "cost_model": "exp",
-        "cost_beta": "-30dB",
-        "h_u": "0.008",
-        "weight_count": "25",
-    },
-    "fig5b": {
-        **_BASE,
-        "scenario": "coop",
-        "cost_model": "exp",
-        "cost_beta": "-27dB",
-        "h_u": "0.008",
-        "weight_count": "25",
-    },
-    "fig5c": {
-        **_BASE,
-        "scenario": "coop",
-        "cost_model": "exp",
-        "cost_beta": "-24dB",
-        "h_u": "0.008",
-        "weight_count": "25",
-    },
-    "fig5d": {
-        **_BASE,
-        "scenario": "coop",
-        "cost_model": "exp",
-        "cost_beta": "-21dB",
-        "h_u": "0.008",
-        "weight_count": "25",
-    },
+    "fig5a": {**_COOP, "cost_beta": "-30dB"},
+    "fig5b": {**_COOP, "cost_beta": "-27dB"},
+    "fig5c": {**_COOP, "cost_beta": "-24dB"},
+    "fig5d": {**_COOP, "cost_beta": "-21dB"},
+}
+
+_ANY = (-math.inf, math.inf)
+
+# run knobs: name -> (type, least, most).  An int knob lies in [least, most],
+# a float knob in (least, most].  A knob that sizes an array holds it to the
+# oracles' ceiling of _MAX_POINTS points.
+_KNOBS = {
+    "rho_points": (int, 1, _MAX_POINTS),
+    "rho_max": (float, 0.0, 1.0),
+    "region_points": (int, 2, _MAX_POINTS),
+    "weight_count": (int, 1, _MAX_POINTS),
+    # the cooperative p12 grid holds _P12_STEPS * (scan_points - 1) + 1 points
+    "scan_points": (int, 3, (_MAX_POINTS - 1) // _P12_STEPS + 1),
+    "scan_refine": (int, *_ANY),
+    "mu1": (float, *_ANY),  # the pair also meets the solvers' weight rule
+    "mu2": (float, *_ANY),
+    "oracle_rho_step": (float, 0.0, 1.0),
+    "oracle_grid": (int, 2, _MAX_GRID),
 }
 
 _KNOWN_KEYS = {
@@ -142,14 +125,8 @@ _KNOWN_KEYS = {
     "h1_sq", "h2_sq", "h1", "h2", "h12", "h21", "h_u",
     "p1", "p2", "p_u1_budget", "p_u2_budget",
     "n", "n_p", "n1", "n2",
-    "rho_points", "rho_max", "region_points",
-    "weight_count", "scan_points", "scan_refine",
-    "mu1", "mu2", "oracle_rho_step", "oracle_grid",
-    "out",
+    "out", *_KNOBS,
 }
-
-_INT_KEYS = {"rho_points", "region_points", "weight_count", "scan_points",
-             "scan_refine", "oracle_grid"}
 
 
 @dataclass
@@ -215,41 +192,30 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _build_eh(kv: dict):
-    model = kv.get("eh_model", "logistic").lower()
-    if model == "logistic":
-        for need in ("eh_q1", "eh_q2", "eh_p_max_dc"):
-            if need not in kv:
-                raise ConfigError(need, "required by eh_model=logistic")
-        return LogisticEh(
-            q1=_parse_number("eh_q1", kv["eh_q1"]),
-            q2=_parse_number("eh_q2", kv["eh_q2"]),
-            p_max_dc=_parse_number("eh_p_max_dc", kv["eh_p_max_dc"]),
-        )
-    if model == "linear":
-        if "eh_eta" not in kv:
-            raise ConfigError("eh_eta", "required by eh_model=linear")
-        return LinearEh(eta=_parse_number("eh_eta", kv["eh_eta"]))
-    raise ConfigError("eh_model", f"unknown EH model {model!r}")
+# model families: config name -> (class, its parameters, each read from
+# the config key <prefix>_<parameter>)
+_EH_MODELS = {"logistic": (LogisticEh, ("q1", "q2", "p_max_dc")), "linear": (LinearEh, ("eta",))}
+_COST_MODELS = {
+    "exp": (ExpCost, ("beta",)),
+    "log": (LogCost, ("beta",)),
+    "lin": (LinCost, ("beta",)),
+    "const": (ConstCost, ("phi0",)),
+}
 
 
-def _build_cost(kv: dict, prefix: str = "cost"):
+def _build_model(kv: dict, prefix: str, family: str, models: dict):
     model = kv.get(f"{prefix}_model")
     if model is None:
         raise ConfigError(f"{prefix}_model", "missing required key")
     model = model.lower()
-    if model in ("exp", "log", "lin"):
-        key = f"{prefix}_beta"
+    if model not in models:
+        raise ConfigError(f"{prefix}_model", f"unknown {family} model {model!r}")
+    cls, names = models[model]
+    keys = [f"{prefix}_{name}" for name in names]
+    for key in keys:
         if key not in kv:
             raise ConfigError(key, f"required by {prefix}_model={model}")
-        beta = _parse_number(key, kv[key])
-        return {"exp": ExpCost, "log": LogCost, "lin": LinCost}[model](beta=beta)
-    if model == "const":
-        key = f"{prefix}_phi0"
-        if key not in kv:
-            raise ConfigError(key, f"required by {prefix}_model=const")
-        return ConstCost(phi0=_parse_number(key, kv[key]))
-    raise ConfigError(f"{prefix}_model", f"unknown cost model {model!r}")
+    return cls(**{name: _parse_number(key, kv[key]) for name, key in zip(names, keys)})
 
 
 def _get_num(kv, key, default=None):
@@ -258,6 +224,32 @@ def _get_num(kv, key, default=None):
     if default is None:
         raise ConfigError(key, "missing required key")
     return default
+
+
+def _gains(kv: dict, keys: tuple, power: float) -> list:
+    """The destination gains named by keys, or d^(-power*alpha) from the
+    distances d1, d2 when neither is given."""
+    if any(key in kv for key in keys):
+        return [_get_num(kv, key) for key in keys]
+    alpha = _get_num(kv, "alpha")
+    return [_get_num(kv, d) ** (-power * alpha) for d in ("d1", "d2")]
+
+
+def _read_knob(key: str, raw: str, kind, least, most):
+    if kind is float:
+        val = _parse_number(key, raw)
+        if not least < val <= most:
+            raise ConfigError(key, f"must lie in ({least:g}, {most:g}]")
+        return val
+    try:
+        val = int(raw)
+    except ValueError as err:
+        raise ConfigError(key, f"expected an integer, got {raw!r}") from err
+    if val < least:
+        raise ConfigError(key, f"must be >= {least}")
+    if val > most:
+        raise ConfigError(key, f"must be <= {most}")
+    return val
 
 
 def ingest_config(kv: dict) -> RunConfig:
@@ -275,44 +267,27 @@ def ingest_config(kv: dict) -> RunConfig:
     if scenario not in ("classical-simul", "classical-sic", "coop"):
         raise ConfigError("scenario", f"unknown scenario {scenario!r}")
 
-    eh = _build_eh(kv)
-    cost = _build_cost(kv, "cost")
+    eh = _build_model({"eh_model": "logistic", **kv}, "eh", "EH", _EH_MODELS)
+    cost = _build_model(kv, "cost", "cost", _COST_MODELS)
     n = _get_num(kv, "n")
     n_p = _get_num(kv, "n_p")
 
-    cfg = RunConfig(scenario=scenario)
-    for key in _INT_KEYS:
+    cfg = RunConfig(scenario=scenario, out=kv.get("out"))
+    for key, rule in _KNOBS.items():
         if key in kv:
-            try:
-                setattr(cfg, key, int(kv[key]))
-            except ValueError as err:
-                raise ConfigError(key, f"expected an integer, got {kv[key]!r}") from err
-    for key in ("rho_max", "mu1", "mu2", "oracle_rho_step"):
-        if key in kv:
-            setattr(cfg, key, _parse_number(key, kv[key]))
-    cfg.out = kv.get("out")
-    for key in ("rho_max", "oracle_rho_step"):
-        if not 0.0 < getattr(cfg, key) <= 1.0:
-            raise ConfigError(key, "must lie in (0, 1]")
-    for key, least in (("rho_points", 1), ("region_points", 2), ("weight_count", 1),
-                       ("scan_points", 3), ("oracle_grid", 2)):
-        if getattr(cfg, key) < least:
-            raise ConfigError(key, f"must be >= {least}")
-    if cfg.oracle_grid > _MAX_GRID:
-        raise ConfigError("oracle_grid", f"must be <= {_MAX_GRID}")
-    try:  # the oracle's own ceiling, checked without allocating the grid
+            setattr(cfg, key, _read_knob(key, kv[key], *rule))
+    # the library's own rules, checked before anything is allocated or solved
+    try:
         _rho_points(cfg.oracle_rho_step)
     except ValueError as err:
         raise ConfigError("oracle_rho_step", str(err)) from None
+    try:
+        _check_weights(cfg.mu1, cfg.mu2)
+    except ValueError as err:  # named by the negative weight, else by mu1
+        raise ConfigError("mu2" if cfg.mu1 >= 0 > cfg.mu2 else "mu1", str(err)) from None
 
-    if scenario in ("classical-simul", "classical-sic"):
-        if "h1_sq" in kv or "h2_sq" in kv:
-            h1_sq = _get_num(kv, "h1_sq")
-            h2_sq = _get_num(kv, "h2_sq")
-        else:
-            alpha = _get_num(kv, "alpha")
-            h1_sq = _get_num(kv, "d1") ** (-2.0 * alpha)
-            h2_sq = _get_num(kv, "d2") ** (-2.0 * alpha)
+    if scenario != "coop":
+        h1_sq, h2_sq = _gains(kv, ("h1_sq", "h2_sq"), 2.0)
         cfg.classical = ClassicalParams(
             h1_sq=h1_sq,
             h2_sq=h2_sq,
@@ -326,37 +301,23 @@ def ingest_config(kv: dict) -> RunConfig:
         return cfg
 
     # cooperation: destination amplitudes + inter-user amplitudes
-    if "h1" in kv or "h2" in kv:
-        h1 = _get_num(kv, "h1")
-        h2 = _get_num(kv, "h2")
-    else:
-        alpha = _get_num(kv, "alpha")
-        h1 = _get_num(kv, "d1") ** (-alpha)
-        h2 = _get_num(kv, "d2") ** (-alpha)
+    h1, h2 = _gains(kv, ("h1", "h2"), 1.0)
     if "h_u" in kv:
         h12 = h21 = _get_num(kv, "h_u")
     else:
         h12 = _get_num(kv, "h12")
         h21 = _get_num(kv, "h21")
     if "cost_user_model" in kv:
-        user_kv = dict(kv)
-        user_kv.setdefault("cost_user_beta", kv.get("cost_beta", ""))
-        user_kv.setdefault("cost_user_phi0", kv.get("cost_phi0", ""))
-        cost_user = _build_cost(user_kv, "cost_user")
+        # a user-fee parameter left out is the destination fee's, if given
+        fallback = {k.replace("cost_", "cost_user_"): kv[k]
+                    for k in ("cost_beta", "cost_phi0") if k in kv}
+        cost_user = _build_model({**fallback, **kv}, "cost_user", "cost", _COST_MODELS)
     else:
         cost_user = cost
     # budgets default to the classical per-user powers so the shared presets
     # cover both scenario families
-    bud1 = (
-        _parse_number("p_u1_budget", kv["p_u1_budget"])
-        if "p_u1_budget" in kv
-        else _get_num(kv, "p1")
-    )
-    bud2 = (
-        _parse_number("p_u2_budget", kv["p_u2_budget"])
-        if "p_u2_budget" in kv
-        else _get_num(kv, "p2")
-    )
+    bud1, bud2 = (_get_num(kv, f"p_u{i}_budget" if f"p_u{i}_budget" in kv else f"p{i}")
+                  for i in (1, 2))
     cfg.coop = CoopParams(
         h1=h1,
         h2=h2,
@@ -401,19 +362,21 @@ def _emit(lines, out_path):
 # ---------------------------------------------------------------------------
 
 
+def _weights(cfg: RunConfig) -> list:
+    """The weight pairs (t, 1 - t) at weight_count even steps of t over [0, 1]."""
+    return [(float(t), float(1.0 - t)) for t in np.linspace(0.0, 1.0, cfg.weight_count)]
+
+
 def cmd_region(cfg: RunConfig, out_path: str | None) -> int:
     header = "r2_bits,r1_bits,rho,order_or_weights,hulled"
-    if cfg.scenario == "classical-simul":
-        curve = mdrb_simultaneous(cfg.classical, n_points=cfg.region_points)
-        tag = lambda m: m.get("segment", "")
-    elif cfg.scenario == "classical-sic":
-        curve = mdrb_sic(cfg.classical, n_points=cfg.region_points)
-        tag = lambda m: m.get("order", m.get("segment", ""))
-    else:
-        ts = np.linspace(0.0, 1.0, cfg.weight_count)
-        weights = [(float(t), float(1.0 - t)) for t in ts]
-        curve = coop_mdrb(cfg.coop, weights=weights, scan=cfg.scan)
+    if cfg.scenario == "coop":
+        curve = coop_mdrb(cfg.coop, weights=_weights(cfg), scan=cfg.scan)
         tag = lambda m: f"mu1={_fmt(m.get('mu1', ''))};mu2={_fmt(m.get('mu2', ''))}"
+    else:
+        simul = cfg.scenario == "classical-simul"
+        curve = (mdrb_simultaneous if simul else mdrb_sic)(cfg.classical,
+                                                          n_points=cfg.region_points)
+        tag = lambda m: m.get("order", m.get("segment", ""))
     lines = [header]
     if not len(curve):
         lines.append(f"# empty: {curve.empty_reason or 'no feasible rate pair'}")
@@ -430,21 +393,21 @@ def cmd_sumrate(cfg: RunConfig, out_path: str | None) -> int:
     if cfg.scenario == "coop":
         raise ConfigError("scenario", "sumrate sweeps apply to classical scenarios")
     params = cfg.classical
+    simul = cfg.scenario == "classical-simul"
     rhos = np.linspace(0.0, cfg.rho_max, cfg.rho_points)
     lines = ["rho,sum_rate_bits,binding_constraint"]
-    if cfg.scenario == "classical-simul":
+    if simul:
         bound = rate_bound_sum(params, rhos)
         psi = params.eh.eval(rhos * params.a)
         sums = params.cost.rate_cap(psi, bound)
         for rho, s_val, b_val in zip(rhos, sums, bound):
             binding = "cost" if s_val < b_val - 1e-15 else "rate"
             lines.append(f"{_fmt(float(rho))},{_fmt(float(s_val))},{binding}")
-        opt = sumrate_simultaneous(params)
     else:
         for rho in rhos:
             s_val, binding = sic_max_sum_at_rho(params, float(rho))
             lines.append(f"{_fmt(float(rho))},{_fmt(s_val)},{binding}")
-        opt = sic_sumrate_numeric(params)
+    opt = (sumrate_simultaneous if simul else sic_sumrate_numeric)(params)
     lines.append(f"{_fmt(opt.rho_opt)},{_fmt(opt.sum_rate)},opt")
     _emit(lines, out_path)
     return 0
@@ -453,30 +416,14 @@ def cmd_sumrate(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_coop(cfg: RunConfig, out_path: str | None) -> int:
     if cfg.scenario != "coop":
         raise ConfigError("scenario", "the coop command needs scenario=coop")
-    ts = np.linspace(0.0, 1.0, cfg.weight_count)
-    lines = [
-        "mu1,mu2,r1_bits,r2_bits,rho,p12,p21,pu1,pu2,weighted_rate,source,valid"
-    ]
-    # every weight pair (t, 1-t) out of one trace of the network
-    for sol in _solve(cfg.coop, [(float(t), float(1.0 - t)) for t in ts], cfg.scan):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(sol.mu1),
-                    _fmt(sol.mu2),
-                    _fmt(sol.r1),
-                    _fmt(sol.r2),
-                    _fmt(sol.rho),
-                    _fmt(sol.alloc.p12),
-                    _fmt(sol.alloc.p21),
-                    _fmt(sol.alloc.pu1),
-                    _fmt(sol.alloc.pu2),
-                    _fmt(sol.weighted_rate),
-                    sol.source,
-                    "1" if sol.cooperation_valid else "0",
-                ]
-            )
-        )
+    lines = ["mu1,mu2,r1_bits,r2_bits,rho,p12,p21,pu1,pu2,weighted_rate,source,valid"]
+    # every weight pair out of one trace of the network
+    for sol in _solve(cfg.coop, _weights(cfg), cfg.scan):
+        a = sol.alloc
+        nums = (sol.mu1, sol.mu2, sol.r1, sol.r2, sol.rho, a.p12, a.p21, a.pu1, a.pu2,
+                sol.weighted_rate)
+        lines.append(",".join([*map(_fmt, nums), sol.source,
+                               "1" if sol.cooperation_valid else "0"]))
     _emit(lines, out_path)
     return 0
 
@@ -494,23 +441,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None) -> int:
             + ("PASS" if ok else "FAIL")
         )
 
-    if cfg.scenario == "classical-simul":
-        ana = sumrate_simultaneous(cfg.classical)
-        orc = oracle_simul_sumrate(cfg.classical, cfg.oracle_rho_step)
-        lines.append(f"analytic: rho={_fmt(ana.rho_opt)} sum={_fmt(ana.sum_rate)}")
-        lines.append(f"oracle:   rho={_fmt(orc.rho_opt)} sum={_fmt(orc.sum_rate)}")
-        check("sum_rate_gap_bits", abs(ana.sum_rate - orc.sum_rate), 1e-4)
-        res = ana.residuals.get("cost_balance_w", 0.0)
-        check("cost_balance_residual_w", abs(res), 1e-9)
-    elif cfg.scenario == "classical-sic":
-        ana = sic_sumrate_numeric(cfg.classical)
-        orc = oracle_sic_sumrate(cfg.classical, cfg.oracle_rho_step)
-        lines.append(f"analytic: rho={_fmt(ana.rho_opt)} sum={_fmt(ana.sum_rate)}")
-        lines.append(f"oracle:   rho={_fmt(orc.rho_opt)} sum={_fmt(orc.sum_rate)}")
-        check("sum_rate_gap_bits", abs(ana.sum_rate - orc.sum_rate), 1e-4)
-        res = ana.residuals.get("cost_balance_w", 0.0)
-        check("cost_balance_residual_w", abs(res), 1e-9)
-    else:
+    if cfg.scenario == "coop":
         sol = coop_solve_general(cfg.coop, cfg.mu1, cfg.mu2, cfg.scan)
         orc = oracle_coop_weighted(cfg.coop, cfg.mu1, cfg.mu2, cfg.oracle_grid)
         lines.append(
@@ -526,9 +457,19 @@ def cmd_verify(cfg: RunConfig, out_path: str | None) -> int:
             max(orc.weighted_rate - sol.weighted_rate, 0.0),
             5e-3,
         )
-        check("budget1_residual_w", abs(sol.constraint_residuals["budget1_w"]), 1e-9)
-        check("budget2_residual_w", abs(sol.constraint_residuals["budget2_w"]), 1e-9)
-        check("dest_cost_residual_w", abs(sol.constraint_residuals["dest_cost_w"]), 1e-9)
+        for key in ("budget1", "budget2", "dest_cost"):
+            check(f"{key}_residual_w", abs(sol.constraint_residuals[f"{key}_w"]), 1e-9)
+    else:
+        simul = cfg.scenario == "classical-simul"
+        ana = (sumrate_simultaneous if simul else sic_sumrate_numeric)(cfg.classical)
+        orc = (oracle_simul_sumrate if simul else oracle_sic_sumrate)(
+            cfg.classical, cfg.oracle_rho_step
+        )
+        lines.append(f"analytic: rho={_fmt(ana.rho_opt)} sum={_fmt(ana.sum_rate)}")
+        lines.append(f"oracle:   rho={_fmt(orc.rho_opt)} sum={_fmt(orc.sum_rate)}")
+        check("sum_rate_gap_bits", abs(ana.sum_rate - orc.sum_rate), 1e-4)
+        res = ana.residuals.get("cost_balance_w", 0.0)
+        check("cost_balance_residual_w", abs(res), 1e-9)
     lines.append("overall: " + ("PASS" if fails == 0 else f"FAIL ({fails})"))
     _emit(lines, out_path)
     return 0 if fails == 0 else 1

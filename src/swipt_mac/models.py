@@ -455,11 +455,6 @@ class ClassicalParams:
         """Total received power at the destination antenna [W]."""
         return self.h1_sq * self.p1 + self.h2_sq * self.p2 + self.n
 
-    @property
-    def n_u(self):
-        """Interference-plus-noise seen by user 1 when decoded first [W]."""
-        return self.h2_sq * self.p2 + self.n
-
     def swapped(self):
         """The same channel with the user labels exchanged."""
         return ClassicalParams(

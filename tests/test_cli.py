@@ -270,6 +270,37 @@ def test_pinned_classical_verify_output_is_byte_identical(preset, capsys):
     assert hashlib.sha256(out).hexdigest() == _PINNED_VERIFY[preset]
 
 
+# SHA-256 of the stdout of the cooperative commands on fig5a
+_PINNED_COOP = {
+    "coop fig5a": "a699a4ef49495ee8011be500f808a89c7fea5f2543e9e9a53d69190a309bc631",
+    "verify fig5a": "cd06a25b614e56d89eceefdb6626f9ab3f65b15b50dc2a995d315c3d73a5b5e0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_COOP))
+def test_pinned_coop_output_is_byte_identical(command, capsys):
+    name, preset = command.split()
+    assert main([name, "--preset", preset]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _PINNED_COOP[command]
+
+
+def test_out_key_writes_the_output_and_the_option_wins(tmp_path, capsys):
+    keyed, opt = tmp_path / "keyed.csv", tmp_path / "opt.csv"
+    cfg_file = tmp_path / "out.cfg"
+    cfg_file.write_text(f"out = {keyed}\nregion_points = 8\n")
+    argv = ["region", "--preset", "fig3a", "--config", str(cfg_file)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = keyed.read_text()
+    assert text.startswith("r2_bits,r1_bits,rho,order_or_weights,hulled\n")
+    keyed.unlink()
+    assert main(argv + ["--out", str(opt)]) == 0
+    assert capsys.readouterr().out == ""
+    assert opt.read_text() == text
+    assert not keyed.exists()
+
+
 def test_verify_classical_passes(tmp_path, capsys):
     assert main(["verify", "--preset", "fig3a"]) == 0
     text = capsys.readouterr().out
@@ -330,6 +361,16 @@ def test_verify_fails_a_solver_short_of_its_oracle(tmp_path, monkeypatch, capsys
         # the oracle's memory ceiling; its edge is not allocated here
         ("oracle_rho_step", "1e-9", "1e-7"),
         ("oracle_grid", "4097", "4096"),
+        # the same 2^24-point ceiling on every size knob; no edge is allocated
+        ("rho_points", "16777217", "16777216"),
+        ("region_points", "16777217", "16777216"),
+        ("weight_count", "16777217", "16777216"),
+        # 8 * (scan_points - 1) + 1 p12 points per row
+        ("scan_points", "2097153", "2097152"),
+        # the solvers' weight rule: non-negative and not both zero
+        ("mu1", "-1", "0"),
+        ("mu2", "-1e-300", "0"),
+        pytest.param("mu1", "0\nmu2 = 0", "0", id="mu1-mu2-both-0"),
     ],
 )
 def test_out_of_range_knobs_fail_at_config_time(key, bad, edge, tmp_path, capsys):
@@ -361,6 +402,9 @@ def test_exit_code_for_unknown_key(tmp_path):
     assert main(["region", "--config", str(cfg_file)]) == 2
 
 
+_COOP_KEYS = {"scenario": "coop", "h_u": "0.008"}
+
+
 @pytest.mark.parametrize("over, key", [
     ({"eh_q1": None}, "eh_q1"),
     ({"eh_model": "linear"}, "eh_eta"),
@@ -368,13 +412,20 @@ def test_exit_code_for_unknown_key(tmp_path):
     ({"cost_model": "const"}, "cost_phi0"),
     ({"eh_model": "diode"}, "eh_model"),
     ({"cost_model": "cubic"}, "cost_model"),
+    # a user fee falls back to the destination fee's parameter only if given
+    ({**_COOP_KEYS, "cost_user_model": "const"}, "cost_user_phi0"),
+    ({**_COOP_KEYS, "cost_model": "const", "cost_phi0": "0.013", "cost_beta": None,
+      "cost_user_model": "exp"}, "cost_user_beta"),
 ])
 def test_model_key_errors_exit_2_and_name_the_key(over, key, tmp_path, capsys):
     kv = {k: v for k, v in {**PRESETS["fig3a"], **over}.items() if v is not None}
     cfg_file = tmp_path / "model.cfg"
     cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
     assert main(["region", "--config", str(cfg_file)]) == 2
-    assert f"config key '{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err
+    if not key.endswith("_model"):  # a missing parameter names the model that needs it
+        assert f"config key '{key}': required by {key.rsplit('_', 1)[0]}_model=" in err
 
 
 def test_exit_code_for_infeasible_sumrate(tmp_path):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import swipt_mac as sm
 
@@ -20,6 +23,26 @@ def test_every_package_export_is_exported_by_its_defining_module():
         and name not in importlib.import_module(getattr(sm, name).__module__).__all__
     ]
     assert missing == []
+
+
+def test_the_package_exports_what_the_library_modules_export():
+    library = [
+        name
+        for short in MODULES
+        if short != "cli"
+        for name in importlib.import_module(f"swipt_mac.{short}").__all__
+    ]
+    assert sorted(sm.__all__) == sorted(["__version__", *library])
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    probe = "import sys, swipt_mac; print('swipt_mac.cli' in sys.modules)"
+    src = str(pathlib.Path(sm.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_every_module_export_exists():
