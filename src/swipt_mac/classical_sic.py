@@ -326,23 +326,18 @@ def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None)
 
 
 def _sic_sumrate_const(params: ClassicalParams) -> SolveReport:
-    """Indicator-cost special case: fee thresholds instead of sweeps."""
+    """Indicator-cost special case: the best r1 + r2 of each fee-threshold
+    part of the region, at that part's single rho."""
     if params.eh.eval(params.a) < params.cost.phi0:
         raise InfeasibleRegionError("single decoding fee unaffordable")
-    candidates = []
-    for order in DecodingOrder:
-        bp = sic_breakpoints(params, order)
-        b1s, b2s = sic_rate_bounds(params, bp.rho_1, order)
-        candidates.append((bp.rho_1, max(b1s, b2s), f"{order.value}:single-user"))
-        if not math.isnan(bp.rho_c):
-            b1b, b2b = sic_rate_bounds(params, bp.rho_c, order)
-            candidates.append((bp.rho_c, b1b + b2b, f"{order.value}:both"))
+    candidates = [
+        (rho[0], max(x + y for x, y in zip(r1, r2)), f"{tag['order']}:{tag['segment']}")
+        for order in DecodingOrder
+        for r1, r2, rho, tag in _order_segments(params, order, 2)  # n_points unused
+    ]
     rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
     return SolveReport(
-        rho_opt=rho_opt,
-        sum_rate=sum_rate,
-        residuals={"cost_balance_w": 0.0},
-        bound=None,
+        rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": 0.0},
         candidates=candidates,
         notes={"order": label.split(":")[0], "branch": label, "cost_family": "const"},
     )

@@ -193,40 +193,14 @@ def _pentagon_curve(params, rho, n_points):
     return frontier((r1, r2, np.full(r2.size, rho), {"segment": "pentagon"}))
 
 
-def _convexity_holds(params, p_lo, p_hi):
-    """Numerical convexity check of phi^{-1}(psi(.)) on [p_lo, p_hi]."""
-    if p_hi <= p_lo:
-        return True
-    p = np.linspace(p_lo, p_hi, 257)
-    u = params.cost.rate_cap(params.eh.eval(p), np.inf)
-    d2 = np.diff(u, 2)
-    scale = max(1.0, float(np.max(np.abs(u))))
-    return bool(np.all(d2 >= -1e-9 * scale))
-
-
-def _sags_below_hull(curve):
-    """True when some point of a frontier lies below its time-sharing
-    envelope.
-
-    The affordable-map convexity test does not bound the geometry of the
-    parametric sweeps: even with a convex affordable map the pinned bound
-    and the affordable sum fight over rho near the axis corners and can
-    trace an arc that dips under its own chord.  Comparing against the
-    envelope directly catches that.
-    """
-    hull = frontier((curve.r1, curve.r2, curve.rho, {}), hull=True)
-    sag = np.interp(curve.r2, hull.r2, hull.r1) - curve.r1
-    scale = max(1.0, float(hull.r1.max()))
-    return bool(np.max(sag) > 1e-9 * scale)
-
-
 def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     """Discretized boundary of the simultaneous-decoding departure region.
 
     Two rho sweeps (each fixing one user's bound at equality and giving the
     leftover affordable sum to the other) plus the slope -1 sum-rate face at
-    rho_c.  If the affordable-sum map fails a numerical convexity check the
-    time-sharing envelope is applied and the curve flagged hulled.
+    rho_c, closed by time sharing: a smooth fee's region is the envelope of
+    that cloud, flagged hulled, as mdrb_sic's is.  The indicator fee's
+    region is the rate pentagon at its fee threshold, a raw frontier.
     """
     _check_n_points(n_points)
     try:
@@ -265,11 +239,6 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
         (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
         (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
     )
-    lo = min(bp.rho_1, bp.rho_2) * a
-    if _convexity_holds(params, lo, bp.rho_c * a):
-        curve = frontier(*parts)
-        if not _sags_below_hull(curve):
-            return curve
     return frontier(*parts, hull=True)
 
 

@@ -40,7 +40,7 @@ from .classical_simul import (
     sumrate_simultaneous,
 )
 from .classical_sic import mdrb_sic, sic_max_sum_at_rho, sic_sumrate_numeric
-from .coop_mac import _P12_STEPS, _check_weights, _solve, coop_mdrb, coop_solve_general
+from .coop_mac import _P12_STEPS, _ZOOM, _check_weights, _solve, coop_mdrb, coop_solve_general
 from .oracle import (
     _MAX_GRID, _MAX_POINTS, _rho_points, oracle_coop_weighted, oracle_sic_sumrate,
     oracle_simul_sumrate,
@@ -109,7 +109,9 @@ _KNOBS = {
     "weight_count": (int, 1, _MAX_POINTS),
     # the cooperative p12 grid holds _P12_STEPS * (scan_points - 1) + 1 points
     "scan_points": (int, 3, (_MAX_POINTS - 1) // _P12_STEPS + 1),
-    "scan_refine": (int, *_ANY),
+    # 0 and 1 give one zoom level, each 2 more one more (past about ten a
+    # level bisects nothing)
+    "scan_refine": (int, 0, 128),
     "mu1": (float, *_ANY),  # the pair also meets the solvers' weight rule
     "mu2": (float, *_ANY),
     "oracle_rho_step": (float, 0.0, 1.0),
@@ -300,6 +302,11 @@ def ingest_config(kv: dict) -> RunConfig:
         )
         return cfg
 
+    # the trace holds 2 * weight_count rows of the p12 grid or of a zoom level
+    points = max(_P12_STEPS * (cfg.scan_points - 1) + 1, _ZOOM.size)
+    if 2 * cfg.weight_count * points > _MAX_POINTS:
+        raise ConfigError("weight_count", f"2 * weight_count rows of {points} scan points "
+                          f"exceed the ceiling of {_MAX_POINTS}")
     # cooperation: destination amplitudes + inter-user amplitudes
     h1, h2 = _gains(kv, ("h1", "h2"), 1.0)
     if "h_u" in kv:
@@ -381,10 +388,10 @@ def cmd_region(cfg: RunConfig, out_path: str | None) -> int:
     if not len(curve):
         lines.append(f"# empty: {curve.empty_reason or 'no feasible rate pair'}")
     hulled = "1" if curve.hulled else "0"
-    for pt, m in zip(curve.points, curve.metadata):
-        lines.append(
-            f"{_fmt(pt.r2)},{_fmt(pt.r1)},{_fmt(pt.rho)},{tag(m)},{hulled}"
-        )
+    tags = [tag(m) for m in curve.labels]
+    for r2, r1, rho, k in zip(curve.r2.tolist(), curve.r1.tolist(), curve.rho.tolist(),
+                              curve.label.tolist()):
+        lines.append(f"{_fmt(r2)},{_fmt(r1)},{_fmt(rho)},{tags[k]},{hulled}")
     _emit(lines, out_path)
     return 0
 
@@ -442,6 +449,9 @@ def cmd_verify(cfg: RunConfig, out_path: str | None) -> int:
         )
 
     if cfg.scenario == "coop":
+        if not isinstance(cfg.coop.cost_user1, ExpCost):  # the oracle's rule
+            key = "cost_model" if cfg.coop.cost_user1 is cfg.coop.cost_dest else "cost_user_model"
+            raise ConfigError(key, "the cooperative grid oracle needs Exp user costs")
         sol = coop_solve_general(cfg.coop, cfg.mu1, cfg.mu2, cfg.scan)
         orc = oracle_coop_weighted(cfg.coop, cfg.mu1, cfg.mu2, cfg.oracle_grid)
         lines.append(

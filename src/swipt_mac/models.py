@@ -78,6 +78,7 @@ class _Unbounded:
 UNBOUNDED = _Unbounded()
 
 _LOG2 = math.log(2.0)
+_EXPM1_MAX = math.log(np.finfo(float).max)  # the largest x with a finite expm1(x)
 
 
 def _expit_scalar(x: float, x_min=None) -> float:
@@ -379,7 +380,10 @@ class LogCost(CostModel):
         return self.beta * xp.log1p(2.0 * r) / _LOG2
 
     def _g(self, p, xp):
-        return 0.5 * xp.expm1(_LOG2 * p / self.beta)
+        # past expm1's overflow the fee bounds no rate: inf, and no warning
+        x = _LOG2 * p / self.beta
+        big = x > _EXPM1_MAX
+        return xp.where(big, math.inf, 0.5 * xp.expm1(xp.where(big, 0.0, x)))
 
 
 @dataclass(frozen=True)

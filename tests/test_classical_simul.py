@@ -181,20 +181,20 @@ def test_simul_feasible_rejects_each_violated_constraint():
 
 
 # ---------------------------------------------------------------------------
-# parity with the two-build boundary path
+# parity with a step-by-step build
 # ---------------------------------------------------------------------------
 
 
 def _ref_mdrb_simultaneous(params, n_points=512):
-    """(curve, branch) built step by step: the raw frontier is built as a
-    curve, sag-tested through its points and, on a sag, discarded for the
-    hull of the cloud."""
+    """(curve, cloud, branch) built step by step: a smooth fee's curve is the
+    time-sharing envelope of its raw sweep cloud, the indicator fee's the
+    pentagon at its fee threshold."""
     try:
         bp = simul_breakpoints(params)
     except InfeasibleRegionError as err:
-        return BoundaryCurve(empty_reason=str(err)), "empty"
+        return BoundaryCurve(empty_reason=str(err)), (), "empty"
     if isinstance(params.cost, sm.ConstCost):
-        return cs._pentagon_curve(params, bp.rho_c, n_points), "pentagon"
+        return cs._pentagon_curve(params, bp.rho_c, n_points), (), "pentagon"
     eh, cost, a = params.eh, params.cost, params.a
 
     def affordable(rho_arr):
@@ -216,16 +216,7 @@ def _ref_mdrb_simultaneous(params, n_points=512):
         (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
         (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
     )
-    if not cs._convexity_holds(params, min(bp.rho_1, bp.rho_2) * a, bp.rho_c * a):
-        return frontier(*cloud, hull=True), "non-convex"
-    raw = frontier(*cloud)
-    r1 = np.array([p.r1 for p in raw.points])
-    r2 = np.array([p.r2 for p in raw.points])
-    hull = frontier((r1, r2, np.zeros(r1.size), {}), hull=True)
-    sag = np.interp(r2, hull.r2, hull.r1) - r1
-    if np.max(sag) > 1e-9 * max(1.0, float(hull.r1.max())):
-        return frontier(*cloud, hull=True), "sag"
-    return raw, "convex"
+    return frontier(*cloud, hull=True), cloud, "envelope"
 
 
 def _draw(rng, family):
@@ -240,11 +231,19 @@ def _draw(rng, family):
 
 def test_mdrb_builds_the_curve_of_the_two_build_path():
     rng = np.random.default_rng(7101)
+    t = np.linspace(0.0, 1.0, 33)  # directions (t, 1 - t), both axes included
     branches = []
     for family in (sm.ExpCost, sm.LogCost, sm.LinCost, sm.ConstCost) * 8:
         params = _draw(rng, family)
-        want, branch = _ref_mdrb_simultaneous(params)
-        assert repr(sm.mdrb_simultaneous(params)) == repr(want), (branch, params)
+        want, cloud, branch = _ref_mdrb_simultaneous(params)
+        curve = sm.mdrb_simultaneous(params)
+        assert repr(curve) == repr(want), (branch, params)
         branches.append(branch)
-    for branch in ("convex", "sag", "non-convex", "pentagon"):
+        if cloud:
+            # the envelope keeps the cloud's support in every direction
+            r1, r2 = (np.concatenate([part[k] for part in cloud]) for k in (0, 1))
+            raw = np.max(np.outer(t, r1) + np.outer(1.0 - t, r2), axis=1)
+            got = np.max(np.outer(t, curve.r1) + np.outer(1.0 - t, curve.r2), axis=1)
+            np.testing.assert_allclose(got, raw, rtol=0.0, atol=1e-12)
+    for branch in ("envelope", "pentagon", "empty"):
         assert branches.count(branch) >= 2, branches

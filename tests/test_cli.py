@@ -367,6 +367,9 @@ def test_verify_fails_a_solver_short_of_its_oracle(tmp_path, monkeypatch, capsys
         ("weight_count", "16777217", "16777216"),
         # 8 * (scan_points - 1) + 1 p12 points per row
         ("scan_points", "2097153", "2097152"),
+        # zoom levels: one at 0 and 1, one more per 2, 64 at the ceiling
+        ("scan_refine", "-4", "0"),
+        ("scan_refine", "129", "128"),
         # the solvers' weight rule: non-negative and not both zero
         ("mu1", "-1", "0"),
         ("mu2", "-1e-300", "0"),
@@ -378,9 +381,30 @@ def test_out_of_range_knobs_fail_at_config_time(key, bad, edge, tmp_path, capsys
     cfg_file.write_text(f"{key} = {bad}\n")
     assert main(["region", "--preset", "fig3c", "--config", str(cfg_file)]) == 2
     assert f"config key '{key}'" in capsys.readouterr().err
-    # the smallest (or largest) value in range is accepted
-    for preset in ("fig3c", "fig5a"):
-        ingest_config(dict(PRESETS[preset], **{key: edge}))
+    # the smallest (or largest) value in range is accepted, except that a
+    # ceiling edge of weight_count or scan_points overfills the cooperative
+    # trace, which is refused by weight_count
+    ingest_config(dict(PRESETS["fig3c"], **{key: edge}))
+    coop = dict(PRESETS["fig5a"], **{key: edge})
+    if (key, edge) in {("weight_count", "16777216"), ("scan_points", "2097152")}:
+        with pytest.raises(ConfigError, match="config key 'weight_count'"):
+            ingest_config(coop)
+    else:
+        ingest_config(coop)
+
+
+def test_coop_trace_size_is_refused_by_weight_count():
+    # 2 * weight_count rows of 8 * (61 - 1) + 1 = 481 points at most 2^24;
+    # nothing is allocated by ingest_config
+    ingest_config(dict(PRESETS["fig5a"], weight_count="17439"))
+    with pytest.raises(ConfigError, match="config key 'weight_count'"):
+        ingest_config(dict(PRESETS["fig5a"], weight_count="17440"))
+    # the zoom levels hold 33 points a row however few the grid has
+    ingest_config(dict(PRESETS["fig5a"], weight_count="254200", scan_points="3"))
+    with pytest.raises(ConfigError, match="config key 'weight_count'"):
+        ingest_config(dict(PRESETS["fig5a"], weight_count="254201", scan_points="3"))
+    # a classical config does not trace the cooperative network
+    ingest_config(dict(PRESETS["fig3a"], weight_count="17440"))
 
 
 def test_exit_codes_for_config_errors():
@@ -426,6 +450,33 @@ def test_model_key_errors_exit_2_and_name_the_key(over, key, tmp_path, capsys):
     assert f"config key '{key}'" in err
     if not key.endswith("_model"):  # a missing parameter names the model that needs it
         assert f"config key '{key}': required by {key.rsplit('_', 1)[0]}_model=" in err
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"cost_model": "log"}, "cost_model"),
+    ({"cost_user_model": "lin"}, "cost_user_model"),
+])
+def test_verify_refuses_a_user_fee_the_coop_oracle_cannot_check(over, key, tmp_path, capsys,
+                                                                monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "coop_solve_general", unreachable)
+    cfg_file = tmp_path / "fee.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in over.items()))
+    assert main(["verify", "--preset", "fig5a", "--config", str(cfg_file)]) == 2
+    assert f"config key '{key}': the cooperative grid oracle needs Exp user costs" in (
+        capsys.readouterr().err
+    )
+
+
+def test_sumrate_with_a_log_fee_past_expm1_overflow_exits_0(tmp_path, capsys):
+    # the fee's inverse at the harvest ceiling lies past expm1's overflow;
+    # the suite turns any warning into an error
+    cfg_file = tmp_path / "log.cfg"
+    cfg_file.write_text("cost_beta = 1e-6\neh_model = linear\neh_eta = 0.7\n")
+    assert main(["sumrate", "--preset", "fig3b", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",opt")
 
 
 def test_exit_code_for_infeasible_sumrate(tmp_path):

@@ -222,6 +222,20 @@ def test_cost_rate_cap_const_is_a_threshold():
     assert got.tolist() == [0.0, 0.0, 0.7, 0.7]
 
 
+def test_log_cost_inverse_past_expm1_overflow_is_inf():
+    # past expm1's overflow the fee bounds no rate: inf on both paths, with
+    # no raise and no warning; finite values keep their bits
+    cost = sm.LogCost(beta=1e-6)
+    assert cost.inverse(1.0) == math.inf
+    assert cost.rate_cap(np.array([1.0]), np.inf).tolist() == [math.inf]
+    assert cost.rate_cap(np.array([1.0, 0.0]), 2.5).tolist() == [2.5, 0.0]
+    p = np.array([0.0, 1e-7, 4e-4, 4.9e-4])  # expm1 arguments up to 340
+    assert [cost.inverse(v) for v in p.tolist()] == [
+        0.5 * math.expm1(_LOG2 * v / 1e-6) for v in p.tolist()
+    ]
+    assert cost.rate_cap(p, np.inf).tolist() == (0.5 * np.expm1(_LOG2 * p / 1e-6)).tolist()
+
+
 @pytest.mark.parametrize("model", [
     iv_eh(), sm.LinearEh(eta=0.35), sm.ExpCost(beta=2e-3), sm.LogCost(beta=2e-3),
     sm.LinCost(beta=2e-3), sm.ConstCost(phi0=0.013),
