@@ -26,7 +26,6 @@ from .models import (
     ConstCost,
     ExpCost,
     LinearEh,
-    RatePoint,
     SolveReport,
 )
 from .numerics import ScanConfig, critical_points
@@ -34,6 +33,7 @@ from .classical_simul import (
     InfeasibleRegionError,
     _balance_root,
     _check_n_points,
+    _check_point,
     _snr_bound,
 )
 from .region import BoundaryCurve, frontier
@@ -43,7 +43,7 @@ __all__ = [
     "SicBreakpoints",
     "SicClosedForm",
     "sic_rate_bounds",
-    "sic_feasible",
+    "sic_slacks",
     "sic_breakpoints",
     "mdrb_sic",
     "sic_max_sum_at_rho",
@@ -112,17 +112,15 @@ def sic_rate_bounds(params: ClassicalParams, rho, order: DecodingOrder):
     return (b_first, b_second) if first else (b_second, b_first)
 
 
-def sic_feasible(params: ClassicalParams, point: RatePoint, order: DecodingOrder, tol=1e-12):
-    """Both per-message rate bounds plus the summed decoding-cost bound."""
-    r1, r2, rho = point.r1, point.r2, point.rho
-    if min(r1, r2, rho) < 0 or rho > 1:
-        return False
+def sic_slacks(params: ClassicalParams, r1, r2, rho, order: DecodingOrder) -> dict:
+    """Signed slacks at (r1, r2, rho) in the given decoding order, positive
+    meaning room: the rate bounds rate1_bits and rate2_bits, and fee_w [W],
+    the harvest minus the fees phi(r1) + phi(r2).  Inputs as simul_slacks."""
+    _check_point(r1, r2, rho)
     b1, b2 = sic_rate_bounds(params, rho, order)
-    if r1 > b1 + tol or r2 > b2 + tol:
-        return False
-    cost = params.cost
-    used = cost.eval(r1) + cost.eval(r2)
-    return used <= params.eh.eval(rho * params.a) + tol
+    fee = params.cost.eval(r1) + params.cost.eval(r2)
+    return {"rate1_bits": b1 - r1, "rate2_bits": b2 - r2,
+            "fee_w": params.eh.eval(rho * params.a) - fee}
 
 
 def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpoints:
@@ -313,8 +311,6 @@ def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None)
         rho_opt=rho_opt,
         sum_rate=sum_rate,
         residuals={"cost_balance_w": resid},
-        bound=None,
-        candidates=candidates,
         notes={
             "order": tag,
             "grid_points": scan.grid_points,
@@ -338,7 +334,6 @@ def _sic_sumrate_const(params: ClassicalParams) -> SolveReport:
     rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
     return SolveReport(
         rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": 0.0},
-        candidates=candidates,
         notes={"order": label.split(":")[0], "branch": label, "cost_family": "const"},
     )
 

@@ -26,7 +26,7 @@ from .models import (
     ConstCost,
     ExpCost,
     LinearEh,
-    RatePoint,
+    ModelDomainError,
     SolveReport,
 )
 from .numerics import RootConfig, bisect_root
@@ -38,7 +38,7 @@ __all__ = [
     "rate_bound_user1",
     "rate_bound_user2",
     "rate_bound_sum",
-    "simul_feasible",
+    "simul_slacks",
     "simul_breakpoints",
     "mdrb_simultaneous",
     "sumrate_simultaneous",
@@ -105,24 +105,28 @@ def rate_bound_sum(params: ClassicalParams, rho, drop_denominator_noise=False):
 
 
 # ---------------------------------------------------------------------------
-# feasibility
+# constraint slacks
 # ---------------------------------------------------------------------------
 
 
-def simul_feasible(params: ClassicalParams, point: RatePoint, tol=1e-12):
-    """All four constraints at (r1, r2, rho): two individual rate bounds,
-    the sum bound, and the harvested-power decoding-cost bound."""
-    r1, r2, rho = point.r1, point.r2, point.rho
-    if min(r1, r2, rho) < 0 or rho > 1:
-        return False
-    if r1 > rate_bound_user1(params, rho) + tol:
-        return False
-    if r2 > rate_bound_user2(params, rho) + tol:
-        return False
-    if r1 + r2 > rate_bound_sum(params, rho) + tol:
-        return False
-    # cost side, in watts (works for the indicator family too)
-    return params.cost.eval(r1 + r2) <= params.eh.eval(rho * params.a) + tol
+def _check_point(r1, r2, rho):
+    """Raise ModelDomainError on a negative or NaN rate, or a rho outside
+    [0, 1], each a float or a float array."""
+    if not (np.all(r1 >= 0.0) and np.all(r2 >= 0.0) and np.all((rho >= 0.0) & (rho <= 1.0))):
+        raise ModelDomainError("rates must be >= 0 and rho in [0, 1]")
+
+
+def simul_slacks(params: ClassicalParams, r1, r2, rho) -> dict:
+    """Signed slacks at (r1, r2, rho), positive meaning room: the rate
+    bounds rate1_bits, rate2_bits and sum_bits, and fee_w [W], the harvest
+    minus the fee phi(r1 + r2).  Floats give floats; arrays broadcast."""
+    _check_point(r1, r2, rho)
+    return {
+        "rate1_bits": rate_bound_user1(params, rho) - r1,
+        "rate2_bits": rate_bound_user2(params, rho) - r2,
+        "sum_bits": rate_bound_sum(params, rho) - (r1 + r2),
+        "fee_w": params.eh.eval(rho * params.a) - params.cost.eval(r1 + r2),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +270,6 @@ def sumrate_simultaneous(
             rho_opt=rho,
             sum_rate=sum_rate,
             residuals={"cost_balance_w": eh.eval(rho * a) - cost.phi0},
-            bound=None,
-            candidates=[(rho, sum_rate, "fee-threshold")],
             notes={"cost_family": "const"},
         )
 
@@ -284,7 +286,6 @@ def sumrate_simultaneous(
         sum_rate=sum_rate,
         residuals={"cost_balance_w": cost.eval(sum_rate) - eh.eval(rho * a)},
         bound=upper,
-        candidates=[(rho, sum_rate, "cost-balance-root")],
         notes={"drop_denominator_noise": drop_denominator_noise},
     )
 

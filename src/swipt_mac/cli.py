@@ -105,7 +105,7 @@ _ANY = (-math.inf, math.inf)
 _KNOBS = {
     "rho_points": (int, 1, _MAX_POINTS),
     "rho_max": (float, 0.0, 1.0),
-    "region_points": (int, 2, _MAX_POINTS),
+    "region_points": (int, 2, (_MAX_POINTS - 2) // 4),  # mdrb_sic: 4n + 2 intercepts
     "weight_count": (int, 1, _MAX_POINTS),
     # the cooperative p12 grid holds _P12_STEPS * (scan_points - 1) + 1 points
     "scan_points": (int, 3, (_MAX_POINTS - 1) // _P12_STEPS + 1),

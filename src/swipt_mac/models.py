@@ -569,7 +569,6 @@ class RatePoint:
 class SolveReport:
     """Output of a 1-D sum-rate optimizer.
 
-    candidates holds (location, value, label) triples actually examined;
     residuals maps named equality/feasibility conditions to signed values;
     notes carries solver provenance (winning branch, grid size, ...).
     """
@@ -578,5 +577,4 @@ class SolveReport:
     sum_rate: float
     residuals: dict
     bound: float | None = None
-    candidates: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)

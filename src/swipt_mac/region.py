@@ -28,7 +28,6 @@ __all__ = ["BoundaryCurve", "frontier", "dominates", "hausdorff"]
 _NEG_TOL = 1e-12  # clamp threshold for tiny negative rates from roundoff
 _DUP_R2 = 1e-15  # r2 values closer than this to the last kept one are duplicates
 _NONE = np.zeros(0)  # frontier() of no parts is the empty cloud
-_TAG = ({}, {"intercept": True})  # metadata added to a point, by its intercept flag
 
 
 @dataclass(eq=False, repr=False)
@@ -36,12 +35,12 @@ class BoundaryCurve:
     """Discretized rate-region frontier, stored as arrays.
 
     r1, r2 and rho are float arrays sorted by strictly increasing r2 with
-    non-increasing r1; labels is a table of metadata dicts (decoding order,
+    non-increasing r1; labels is a table of label dicts (decoding order,
     segment, weight pair, solver source, ...) and label[k] the entry of
-    point k; intercept[k] marks an axis intercept added by the time-sharing
-    envelope.  hulled records whether that envelope was applied;
-    empty_reason documents why a curve has no points.  points and metadata
-    are tuples built from the arrays when they are first read.
+    point k.  An axis intercept added by the time-sharing envelope keeps
+    the rho and label of the point it was moved from.  hulled records
+    whether that envelope was applied; empty_reason documents why a curve
+    has no points.
     """
 
     r1: np.ndarray = ()
@@ -49,14 +48,12 @@ class BoundaryCurve:
     rho: np.ndarray = ()
     labels: tuple = ({},)
     label: np.ndarray = 0
-    intercept: np.ndarray = False
     hulled: bool = False
     empty_reason: str | None = None
 
     def __post_init__(self):  # the arrays must be parallel (or broadcast)
-        self.r1, self.r2, self.rho, self.label, self.intercept = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (self.r1, self.r2, self.rho)),
-            self.label, self.intercept,
+        self.r1, self.r2, self.rho, self.label = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (self.r1, self.r2, self.rho)), self.label
         )
         self.validate()
 
@@ -71,7 +68,8 @@ class BoundaryCurve:
             return
         k = int(np.argmax(bad))  # the first offending point
         if neg[k]:
-            raise ValueError(f"negative rate in boundary point {self.points[k]}")
+            raise ValueError(f"negative rate in boundary point (r1={float(r1[k])}, "
+                             f"r2={float(r2[k])}, rho={float(self.rho[k])})")
         if flat[k - 1]:
             raise ValueError("r2 must be strictly increasing")
         raise ValueError("r1 must be non-increasing")
@@ -80,43 +78,26 @@ class BoundaryCurve:
         return self.r1.size
 
     def __repr__(self):
-        return (f"BoundaryCurve(points={list(self.points)}, metadata={list(self.metadata)}, "
+        return (f"BoundaryCurve(r1={self.r1.tolist()}, r2={self.r2.tolist()}, "
+                f"rho={self.rho.tolist()}, labels={self.labels}, label={self.label.tolist()}, "
                 f"hulled={self.hulled}, empty_reason={self.empty_reason!r})")
 
     @functools.cached_property
     def points(self):
-        """The points as a tuple of RatePoints, built when first read."""
+        """The points as RatePoints, built when first read.  The one reader is
+        perfbench/workloads.compact; both go with ROADMAP item 1."""
         return tuple(map(RatePoint, self.r1.tolist(), self.r2.tolist(), self.rho.tolist()))
-
-    @functools.cached_property
-    def metadata(self):
-        """Each point's metadata dict, {"rho": rho, **its label} plus
-        intercept=True on an added axis intercept, built when first read."""
-        return tuple(
-            {"rho": rho, **self.labels[k], **_TAG[axis]}
-            for rho, k, axis in zip(self.rho.tolist(), self.label.tolist(), self.intercept.tolist())
-        )
-
-    def max_r1(self):
-        return float(self.r1.max()) if self.r1.size else 0.0
-
-    def max_r2(self):
-        return float(self.r2.max()) if self.r2.size else 0.0
-
-    def interp_r1(self, r2):
-        """Piecewise-linear r1 at the query r2 (flat beyond the ends)."""
-        return np.interp(r2, self.r2, self.r1)
 
 
 def _survivors(r1, r2, rho, hull):
     """The points of a cloud on its frontier (hull=False) or on its
     time-sharing envelope (hull=True), in increasing r2.
 
-    Returns (src, r1, r2, axis) as arrays: src[k] is the input index of
-    survivor k, r1[k]/r2[k] its rates after clamping, and axis[k] whether it
-    is an axis intercept added for the hull (point src[k] moved onto an
-    axis).  A rate below -_NEG_TOL raises ValueError naming the point;
-    smaller negatives are roundoff and clamp to zero.
+    Returns (src, r1, r2) as arrays: src[k] is the input index of survivor
+    k (for an axis intercept added for the hull, the point moved onto the
+    axis) and r1[k]/r2[k] its rates after clamping.  A rate below -_NEG_TOL
+    raises ValueError naming the point; smaller negatives are roundoff and
+    clamp to zero.
     """
     n = r1.size
     if hull and n == 0:
@@ -127,8 +108,8 @@ def _survivors(r1, r2, rho, hull):
         if bad.size:
             i = int(bad[0])
             which = "r1" if r1[i] < -_NEG_TOL else "r2"
-            point = RatePoint(float(r1[i]), float(r2[i]), float(rho[i]))
-            raise ValueError(f"negative {which} in {point}")
+            raise ValueError(f"negative {which} in point (r1={float(r1[i])}, r2={float(r2[i])}, "
+                             f"rho={float(rho[i])})")
         r1 = np.where(low1, 0.0, r1)
         r2 = np.where(low2, 0.0, r2)
     src = np.arange(n)
@@ -175,7 +156,7 @@ def _survivors(r1, r2, rho, hull):
     keep = np.ones(order.size, dtype=bool)
     keep[:-1] = s1[:-1] >= np.maximum.accumulate(s1[::-1])[-2::-1]
     order = order[keep]
-    return src[order], r1[order], r2[order], order >= n
+    return src[order], r1[order], r2[order]
 
 
 def frontier(*parts, hull=False):
@@ -183,34 +164,33 @@ def frontier(*parts, hull=False):
     equal-length sequences and the label dict its points share.
 
     hull=False gives the cloud's Pareto frontier (flat runs kept), hull=True
-    its time-sharing envelope with the axis intercepts, flagged in
-    intercept (collinear points kept; an empty cloud raises ValueError).
+    its time-sharing envelope with the axis intercepts (collinear points
+    kept; an empty cloud raises ValueError).
     """
     r1, r2, rho = (
         np.concatenate([_NONE, *(np.asarray(p[k], dtype=float) for p in parts)])
         for k in range(3)
     )
     part = np.repeat(np.arange(len(parts)), [len(p[2]) for p in parts])
-    src, s1, s2, axis = _survivors(r1, r2, rho, hull)
-    return BoundaryCurve(
-        s1, s2, rho[src], tuple(p[3] for p in parts), part[src], axis, hull
-    )
+    src, s1, s2 = _survivors(r1, r2, rho, hull)
+    return BoundaryCurve(s1, s2, rho[src], tuple(p[3] for p in parts), part[src], hull)
 
 
 def dominates(curve_a: BoundaryCurve, curve_b: BoundaryCurve, tol: float):
     """True iff curve_a weakly contains curve_b (within tol bits).
 
     Checks curve_a's interpolated r1 at every r2 sample of curve_b, plus
-    the reach condition on the largest r2.
+    the reach condition on each curve's last (so largest) r2.
     """
     if not len(curve_a) or not len(curve_b):
         raise ValueError("dominates needs non-empty curves")
-    if curve_a.max_r2() < curve_b.max_r2() - tol:
+    reach = curve_a.r2[-1]
+    if reach < curve_b.r2[-1] - tol:
         return False
     r2_b = curve_b.r2
-    r1_a = curve_a.interp_r1(r2_b)
+    r1_a = np.interp(r2_b, curve_a.r2, curve_a.r1)
     # beyond curve_a's reach it achieves nothing, whatever interp says
-    r1_a = np.where(r2_b > curve_a.max_r2() + tol, 0.0, r1_a)
+    r1_a = np.where(r2_b > reach + tol, 0.0, r1_a)
     return bool(np.all(r1_a >= curve_b.r1 - tol))
 
 

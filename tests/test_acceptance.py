@@ -15,8 +15,8 @@ import pytest
 
 import swipt_mac as sm
 from swipt_mac.cli import PRESETS, ingest_config
-from swipt_mac.classical_simul import rate_bound_sum, simul_feasible
-from swipt_mac.classical_sic import DecodingOrder, sic_feasible
+from swipt_mac.classical_simul import rate_bound_sum, simul_slacks
+from swipt_mac.classical_sic import DecodingOrder, sic_slacks
 from swipt_mac.coop_mac import classicalized
 from swipt_mac.numerics import ScanConfig
 
@@ -125,19 +125,21 @@ def test_criterion_3():
     assert elapsed < 60.0
 
 
+_RHOS = np.linspace(0.0, 1.0, 401)
+
+
+def _meets(slacks):
+    """Per rho, whether every slack clears -1e-12."""
+    return np.all([v >= -1e-12 for v in slacks.values()], axis=0)
+
+
 def _both_positive_exists_simul(params):
-    for rho in np.linspace(0.0, 1.0, 401):
-        if simul_feasible(params, sm.RatePoint(1e-6, 1e-6, float(rho))):
-            return True
-    return False
+    return bool(_meets(simul_slacks(params, 1e-6, 1e-6, _RHOS)).any())
 
 
 def _both_positive_exists_sic(params):
-    for rho in np.linspace(0.0, 1.0, 401):
-        pt = sm.RatePoint(1e-6, 1e-6, float(rho))
-        if any(sic_feasible(params, pt, order) for order in DecodingOrder):
-            return True
-    return False
+    return any(_meets(sic_slacks(params, 1e-6, 1e-6, _RHOS, order)).any()
+               for order in DecodingOrder)
 
 
 def test_criterion_4():
@@ -155,7 +157,7 @@ def test_criterion_4():
     p13 = iv_classical(sm.ConstCost(0.013))
     p25 = iv_classical(sm.ConstCost(0.025))
     d13 = (not _both_positive_exists_sic(p13)) and _both_positive_exists_simul(p13)
-    d25 = (not sm.mdrb_simultaneous(p25).points) and (not sm.mdrb_sic(p25).points)
+    d25 = len(sm.mdrb_simultaneous(p25)) == 0 and len(sm.mdrb_sic(p25)) == 0
     elapsed = time.perf_counter() - t0
     ok = a_ok and b_ok and c_h < 1e-6 and d13 and d25 and elapsed < 30.0
     _report(

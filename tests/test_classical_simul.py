@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.classical_simul as cs
@@ -14,11 +16,11 @@ from swipt_mac.classical_simul import (
     rate_bound_user2,
     simul_breakpoints,
     simul_closed_form,
-    simul_feasible,
+    simul_slacks,
 )
 from swipt_mac.region import BoundaryCurve, frontier
 
-from conftest import iv_classical, iv_eh
+from conftest import check_slack_parity, classical_draws, fee_cap, iv_classical, iv_eh, nudge
 
 
 # the paper's literal balancing functions: roots at level n_p give the
@@ -122,9 +124,9 @@ def test_boundary_curve_spans_both_axes():
         curve = sm.mdrb_simultaneous(params, n_points=128)
         assert len(curve) > 3
         # touches the r1 axis (r2=0) and reaches its single-user extremes
-        assert curve.points[0].r2 == 0.0
+        assert curve.r2[0] == 0.0
         bp = simul_breakpoints(params)
-        assert curve.max_r1() == pytest.approx(
+        assert curve.r1.max() == pytest.approx(
             min(
                 rate_bound_user1(params, bp.rho_2),
                 rate_bound_sum(params, bp.rho_2),
@@ -134,12 +136,11 @@ def test_boundary_curve_spans_both_axes():
 
 
 def test_every_boundary_point_is_feasible():
+    # the axis intercepts included
     params = iv_classical(sm.LogCost(1e-3))
     curve = sm.mdrb_simultaneous(params, n_points=64)
-    for p, m in zip(curve.points, curve.metadata):
-        if m.get("intercept"):
-            continue
-        assert simul_feasible(params, p, tol=1e-9)
+    for name, slack in simul_slacks(params, curve.r1, curve.r2, curve.rho).items():
+        assert np.all(slack >= -1e-9), name
 
 
 def test_linear_cost_near_corner_sag_gets_hulled():
@@ -158,7 +159,7 @@ def test_linear_cost_near_corner_sag_gets_hulled():
 def test_const_fee_regions():
     # a 13 mW fee is affordable and leaves a rectangle with both rates positive
     curve = sm.mdrb_simultaneous(iv_classical(sm.ConstCost(0.013)))
-    assert any(p.r1 > 1e-9 and p.r2 > 1e-9 for p in curve.points)
+    assert np.any((curve.r1 > 1e-9) & (curve.r2 > 1e-9))
     # a 25 mW fee exceeds the harvest ceiling: empty region, reason recorded
     empty = sm.mdrb_simultaneous(iv_classical(sm.ConstCost(0.025)))
     assert len(empty) == 0
@@ -171,13 +172,18 @@ def test_simul_feasible_rejects_each_violated_constraint():
     rho = rep.rho_opt
     r1 = rate_bound_user1(params, rho)
     r2 = rep.sum_rate - r1
-    ok = sm.RatePoint(r1 * 0.999, r2 * 0.999, rho)
-    assert simul_feasible(params, ok)
-    assert not simul_feasible(params, sm.RatePoint(r1 * 1.01, r2, rho))
-    assert not simul_feasible(params, sm.RatePoint(r1, r2, rho=-0.1))
-    assert not simul_feasible(params, sm.RatePoint(r1, r2, rho=1.2))
+    ok = simul_slacks(params, r1 * 0.999, r2 * 0.999, rho)
+    assert min(ok.values()) >= -1e-12
+    # a rate above its own bound: that slack goes negative
+    assert simul_slacks(params, r1 * 1.01, r2, rho)["rate1_bits"] < -1e-12
+    # a PS factor outside [0, 1] is not a point at all
+    for bad in (-0.1, 1.2):
+        with pytest.raises(sm.ModelDomainError):
+            simul_slacks(params, r1, r2, bad)
     # starving the harvester breaks the cost constraint even if rates fit
-    assert not simul_feasible(params, sm.RatePoint(r1, r2, rho=rho * 0.5))
+    starved = simul_slacks(params, r1, r2, rho * 0.5)
+    assert starved["fee_w"] < -1e-12
+    assert min(v for k, v in starved.items() if k != "fee_w") >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +253,84 @@ def test_mdrb_builds_the_curve_of_the_two_build_path():
             np.testing.assert_allclose(got, raw, rtol=0.0, atol=1e-12)
     for branch in ("envelope", "pentagon", "empty"):
         assert branches.count(branch) >= 2, branches
+
+
+# ---------------------------------------------------------------------------
+# parity of the slacks with the point predicate they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_simul_feasible(params, r1, r2, rho, tol=1e-12):
+    """The removed simul_feasible, on (r1, r2, rho) for its RatePoint."""
+    if min(r1, r2, rho) < 0 or rho > 1:
+        return False
+    if r1 > rate_bound_user1(params, rho) + tol:
+        return False
+    if r2 > rate_bound_user2(params, rho) + tol:
+        return False
+    if r1 + r2 > rate_bound_sum(params, rho) + tol:
+        return False
+    # cost side, in watts (works for the indicator family too)
+    return params.cost.eval(r1 + r2) <= params.eh.eval(rho * params.a) + tol
+
+
+def _ref_simul_terms(params, r1, r2, rho):
+    """Each comparison of the removed predicate as (bound, what it bounds)."""
+    return {
+        "rate1_bits": (rate_bound_user1(params, rho), r1),
+        "rate2_bits": (rate_bound_user2(params, rho), r2),
+        "sum_bits": (rate_bound_sum(params, rho), r1 + r2),
+        "fee_w": (params.eh.eval(rho * params.a), params.cost.eval(r1 + r2)),
+    }
+
+
+@st.composite
+def simul_points(draw, params):
+    """(r1, r2, rho) anywhere, or placed within 2 ulps of one of the bounds,
+    where the verdict flips."""
+    rho = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    frac, ulps = draw(st.floats(0.0, 1.0)), draw(st.integers(-2, 2))
+    b1, b2 = rate_bound_user1(params, rho), rate_bound_user2(params, rho)
+    bs, cap = rate_bound_sum(params, rho), fee_cap(params, rho)
+    return draw(st.sampled_from((
+        (draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)), rho),
+        (nudge(b1, ulps), frac * b2, rho),
+        (frac * b1, nudge(b2, ulps), rho),
+        (frac * bs, nudge(bs - frac * bs, ulps), rho),
+        (frac * cap, nudge(cap - frac * cap, ulps), rho),
+    )))
+
+
+@st.composite
+def simul_cases(draw):
+    params = draw(classical_draws())
+    return params, draw(st.lists(simul_points(params), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(simul_cases())
+def test_simul_slacks_match_the_removed_predicate(case):
+    check_slack_parity(simul_slacks, _ref_simul_feasible, _ref_simul_terms, *case)
+
+
+@pytest.mark.parametrize(
+    "r1, r2, rho",
+    [(-1e-300, 0.1, 0.5), (0.1, -0.5, 0.5), (0.1, 0.1, -0.1), (0.1, 0.1, 1.2),
+     (math.nan, 0.1, 0.5), (0.1, 0.1, math.nan), (np.array([0.1, -0.1]), 0.1, 0.5),
+     (0.1, 0.1, np.array([0.5, 2.0]))],
+    ids=["r1-negative", "r2-negative", "rho-negative", "rho-above-1", "r1-nan", "rho-nan",
+         "r1-array", "rho-array"],
+)
+def test_slacks_reject_a_point_outside_the_domain(r1, r2, rho, monkeypatch):
+    # the removed predicates answered False; no bound is evaluated
+    def unreachable(*args):
+        raise AssertionError("a bound was evaluated")
+
+    params = iv_classical(sm.ExpCost(1e-3))
+    monkeypatch.setattr(cs, "rate_bound_user1", unreachable)
+    monkeypatch.setattr(sm.classical_sic, "sic_rate_bounds", unreachable)
+    with pytest.raises(sm.ModelDomainError):
+        simul_slacks(params, r1, r2, rho)
+    for order in sm.DecodingOrder:
+        with pytest.raises(sm.ModelDomainError):
+            sm.sic_slacks(params, r1, r2, rho, order)

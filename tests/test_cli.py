@@ -145,8 +145,10 @@ def _region_rows(kv, tmp_path):
 def _curve_rows(curve, tag):
     fmt = cli._fmt
     return [
-        f"{fmt(p.r2)},{fmt(p.r1)},{fmt(p.rho)},{tag(m)},{int(curve.hulled)}"
-        for p, m in zip(curve.points, curve.metadata)
+        f"{fmt(r2)},{fmt(r1)},{fmt(rho)},{tag(curve.labels[k])},{int(curve.hulled)}"
+        for r1, r2, rho, k in zip(
+            curve.r1.tolist(), curve.r2.tolist(), curve.rho.tolist(), curve.label.tolist()
+        )
     ]
 
 
@@ -363,8 +365,9 @@ def test_verify_fails_a_solver_short_of_its_oracle(tmp_path, monkeypatch, capsys
         ("oracle_grid", "4097", "4096"),
         # the same 2^24-point ceiling on every size knob; no edge is allocated
         ("rho_points", "16777217", "16777216"),
-        ("region_points", "16777217", "16777216"),
         ("weight_count", "16777217", "16777216"),
+        # mdrb_sic's 4 * region_points sweep points and 2 intercepts fit in 2^24
+        ("region_points", "4194304", "4194303"),
         # 8 * (scan_points - 1) + 1 p12 points per row
         ("scan_points", "2097153", "2097152"),
         # zoom levels: one at 0 and 1, one more per 2, 64 at the ceiling

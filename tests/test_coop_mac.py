@@ -272,14 +272,13 @@ def test_mdrb_metadata_carries_the_allocation():
     params = iv_coop(0.008, 1e-3)
     weights = [(0.5, 0.5)]
     curve = coop_mdrb(params, weights=weights, scan=FAST)
-    solved = [
-        m
-        for m in curve.metadata
-        if m.get("source") not in (None, "classical") and not m.get("intercept")
-    ]
+    solved = [m for m in curve.labels if m.get("source") not in (None, "classical")]
     assert solved
     for m in solved:
-        assert {"mu1", "mu2", "rho", "p12", "p21", "pu1", "pu2"} <= set(m)
+        assert {"mu1", "mu2", "p12", "p21", "pu1", "pu2"} <= set(m)
+    # every point, an added axis intercept too, has a solve's label and rho
+    assert all(curve.labels[k] in solved for k in curve.label.tolist())
+    assert len(curve) and np.all((curve.rho >= 0.0) & (curve.rho <= 1.0))
 
 
 def _draw_const_dest(rng):

@@ -196,7 +196,7 @@ def test_every_solver_stays_under_the_fee_ceiling(coop):
     classical = classicalized(coop)
     assert classical == iv_classical(fee)
     def widest(curve):
-        return max(p.r1 + p.r2 for p in curve.points)
+        return float(np.max(curve.r1 + curve.r2))
 
     sums = {
         "sumrate_simultaneous": (sm.sumrate_simultaneous(classical).sum_rate, joint),

@@ -2,12 +2,16 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import swipt_mac as sm
+
+from conftest import iv_classical
 
 MODULES = (
     "models", "numerics", "region", "classical_simul", "classical_sic",
@@ -69,6 +73,51 @@ def test_no_module_reaches_into_the_region_core():
                 continue
             reached += [f"{path.name}: {n}" for n in names if n.startswith("_")]
     assert reached == []
+
+
+def test_the_point_layer_is_gone():
+    """Curves and reports hold arrays and numbers only: the point predicates
+    and the per-point metadata layer are gone, from the package and from
+    the records."""
+    gone = ("simul_feasible", "sic_feasible")
+    left = [name for name in gone if hasattr(sm, name)]
+    left += [
+        f"{short}.{name}"
+        for short in MODULES
+        for name in gone
+        if hasattr(importlib.import_module(f"swipt_mac.{short}"), name)
+    ]
+    curve = sm.frontier(([1.0, 0.0], [0.0, 1.0], [0.2, 0.4], {}), hull=True)
+    for attr in ("metadata", "intercept", "interp_r1", "max_r1", "max_r2"):
+        left += [f"BoundaryCurve.{attr}" for obj in (sm.BoundaryCurve, curve) if hasattr(obj, attr)]
+    report = sm.sumrate_simultaneous(iv_classical(sm.ExpCost(1e-3)))
+    if hasattr(report, "candidates") or "candidates" in {f.name for f in fields(sm.SolveReport)}:
+        left.append("SolveReport.candidates")
+    assert left == []
+
+
+def test_rate_points_are_built_only_by_boundary_curve_points():
+    """RatePoint is named in src/ only inside BoundaryCurve.points (besides
+    its class and the imports), so it can go together with that view."""
+    named = []
+    for path in sorted(pathlib.Path(sm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "BoundaryCurve"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "points"
+            for node in ast.walk(fn)
+        }
+        named += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (getattr(node, "id", None) == "RatePoint" or getattr(node, "attr", None) == "RatePoint")
+            and id(node) not in allowed
+        ]
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and "RatePoint(" in str(node.value)]
+    assert named == []
+    assert "RatePoint" in inspect.getsource(sm.BoundaryCurve.points.func)
 
 
 def test_each_model_family_states_its_formula_once():
