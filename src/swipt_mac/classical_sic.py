@@ -30,6 +30,7 @@ from .models import (
 )
 from .numerics import ScanConfig, critical_points
 from .classical_simul import (
+    _SWEEPS,
     InfeasibleRegionError,
     _balance_root,
     _check_n_points,
@@ -164,13 +165,21 @@ def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _sweep(params, order, pin_user1, rho):
+    """(pinned user's bound, harvest left after its message's fee, other
+    user's bound) at rho on one sweep of one decoding order; a float rho
+    stays on the scalar path."""
+    b1, b2 = sic_rate_bounds(params, rho, order)
+    pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
+    return pinned, params.eh.eval(rho * params.a) - params.cost.eval(pinned), cap
+
+
 def _order_segments(params, order, n_points):
     """Boundary sweeps of one decoding order as (r1, r2, rho, labels) parts."""
-    eh, cost, a = params.eh, params.cost, params.a
     bp = sic_breakpoints(params, order)
     tag = order.value
 
-    if isinstance(cost, ConstCost):
+    if isinstance(params.cost, ConstCost):
         b1s, b2s = sic_rate_bounds(params, bp.rho_1, order)
         parts = [([b1s, 0.0], [0.0, b2s], [bp.rho_1] * 2,
                   {"order": tag, "segment": "single-user"})]
@@ -179,19 +188,14 @@ def _order_segments(params, order, n_points):
             parts.append(([b1b], [b2b], [bp.rho_c], {"order": tag, "segment": "both"}))
         return parts
 
-    psi = lambda rho_arr: eh.eval(np.asarray(rho_arr) * a)
-
-    rho_a = np.linspace(bp.rho_1, bp.rho_c, n_points)
-    b1_a, b2_a = sic_rate_bounds(params, rho_a, order)
-    r1_a = cost.rate_cap(psi(rho_a) - cost.eval(b2_a), b1_a)
-
-    rho_b = np.linspace(bp.rho_2, bp.rho_c, n_points)
-    b1_b, b2_b = sic_rate_bounds(params, rho_b, order)
-    r2_b = cost.rate_cap(psi(rho_b) - cost.eval(b1_b), b2_b)
-    return [
-        (r1_a, b2_a, rho_a, {"order": tag, "segment": "user2-pinned"}),
-        (b1_b, r2_b, rho_b, {"order": tag, "segment": "user1-pinned"}),
-    ]
+    parts = []
+    for pin_user1, segment, start in _SWEEPS:
+        rho = np.linspace(getattr(bp, start), bp.rho_c, n_points)
+        pinned, left, cap = _sweep(params, order, pin_user1, rho)
+        other = params.cost.rate_cap(left, cap)
+        r1, r2 = (pinned, other) if pin_user1 else (other, pinned)
+        parts.append((r1, r2, rho, {"order": tag, "segment": segment}))
+    return parts
 
 
 def mdrb_sic(params: ClassicalParams, n_points: int = 512) -> BoundaryCurve:
@@ -250,91 +254,70 @@ def sic_max_sum_at_rho(params: ClassicalParams, rho: float):
     return best, tag
 
 
-def sic_sumrate_numeric(params: ClassicalParams, scan: ScanConfig | None = None) -> SolveReport:
+def sic_sumrate_numeric(params: ClassicalParams) -> SolveReport:
     """Optimal SIC sum rate by candidate enumeration over both decoding orders.
 
     Per order, the two sweep objectives (pin one user's rate bound, invert
     the leftover cost for the other) are maximized over their breakpoint
-    intervals via endpoint + interior critical-point candidates.  The best
-    candidate wins, USER1_FIRST on ties; notes["order"] records the winning
-    order.
+    intervals via endpoint + interior critical-point candidates; for the
+    indicator fee each part of the region offers its best r1 + r2.  The
+    best candidate wins, USER1_FIRST on ties; notes["order"] records the
+    winning order.
     """
-    scan = scan or ScanConfig()
     eh, cost, a = params.eh, params.cost, params.a
+    const = isinstance(cost, ConstCost)
+    if const and eh.eval(a) < cost.phi0:
+        raise InfeasibleRegionError("single decoding fee unaffordable")
 
-    if isinstance(cost, ConstCost):
-        return _sic_sumrate_const(params)
-
-    def sweep(order, pin_user1):
-        def f(rho, floor=-np.inf):
-            """The objective at rho, with the harvest left after the pinned
-            message raised to floor where that is higher."""
-            b1, b2 = sic_rate_bounds(params, rho, order)
-            pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
-            left = np.maximum(eh.eval(rho * a) - cost.eval(pinned), floor)
-            return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
-
-        return f
-
-    candidates = []
+    candidates = []  # (rho, r1 + r2, order, segment, pins user 1)
     for order in DecodingOrder:
+        if const:
+            candidates += [
+                (rho[0], max(x + y for x, y in zip(r1, r2)), order, tag["segment"], None)
+                for r1, r2, rho, tag in _order_segments(params, order, 2)  # n_points unused
+            ]
+            continue
         bp = sic_breakpoints(params, order)
-        for pin_user1, lo, label in (
-            (False, bp.rho_1, "user2-pinned"),
-            (True, bp.rho_2, "user1-pinned"),
-        ):
-            hi = bp.rho_c
-            if hi < lo:
-                continue
-            f = sweep(order, pin_user1)
-            rhos = [lo, hi]
-            if hi > lo:
-                rhos += critical_points(f, lo, hi, scan)
+        for pin_user1, segment, start in _SWEEPS:
+
+            def f(rho, floor=-np.inf):
+                """The objective at rho, with the harvest left after the
+                pinned message raised to floor where that is higher."""
+                pinned, left, cap = _sweep(params, order, pin_user1, rho)
+                left = np.maximum(left, floor)
+                return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
+
+            lo, hi = getattr(bp, start), bp.rho_c
+            rhos = [lo, hi] + (critical_points(f, lo, hi) if hi > lo else [])
             # the ends are bisected balance points, where the harvest just
             # pays the pinned message: score them at that limit, since
             # roundoff leaves them short of it about half the time
             floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
             for rho, val in zip(rhos, f(np.array(rhos), floor)):
-                candidates.append((float(rho), float(val), f"{order.value}:{label}"))
+                candidates.append((float(rho), float(val), order, segment, pin_user1))
 
-    rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
-    tag, pinned = label.split(":")
-    b1, b2 = sic_rate_bounds(params, rho_opt, DecodingOrder(tag))
-    if pinned == "user1-pinned":
-        r1 = b1
-        r2 = sum_rate - r1
-    else:
-        r2 = b2
-        r1 = sum_rate - r2
+    rho_opt, sum_rate, order, segment, pin_user1 = max(candidates, key=lambda c: c[1])
+    branch = f"{order.value}:{segment}"
+    if const:
+        return SolveReport(
+            rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": 0.0},
+            notes={"order": order.value, "branch": branch, "cost_family": "const"},
+        )
+    b1, b2 = sic_rate_bounds(params, rho_opt, order)
+    r1 = b1 if pin_user1 else sum_rate - b2
+    r2 = sum_rate - r1 if pin_user1 else b2
     resid = eh.eval(rho_opt * a) - (cost.eval(r1) + cost.eval(r2))
     return SolveReport(
         rho_opt=rho_opt,
         sum_rate=sum_rate,
         residuals={"cost_balance_w": resid},
         notes={
-            "order": tag,
-            "grid_points": scan.grid_points,
-            "branch": label,
+            "order": order.value,
+            "grid_points": ScanConfig().grid_points,  # critical_points' default grid
+            "branch": branch,
             "r1": r1,
             "r2": r2,
         },
-    )
-
-
-def _sic_sumrate_const(params: ClassicalParams) -> SolveReport:
-    """Indicator-cost special case: the best r1 + r2 of each fee-threshold
-    part of the region, at that part's single rho."""
-    if params.eh.eval(params.a) < params.cost.phi0:
-        raise InfeasibleRegionError("single decoding fee unaffordable")
-    candidates = [
-        (rho[0], max(x + y for x, y in zip(r1, r2)), f"{tag['order']}:{tag['segment']}")
-        for order in DecodingOrder
-        for r1, r2, rho, tag in _order_segments(params, order, 2)  # n_points unused
-    ]
-    rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
-    return SolveReport(
-        rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": 0.0},
-        notes={"order": label.split(":")[0], "branch": label, "cost_family": "const"},
     )
 
 

@@ -47,6 +47,10 @@ __all__ = [
 
 _ROOT = RootConfig(abs_tol=1e-14, max_iter=200)
 
+# the two boundary sweeps of either scheme, each running from its start
+# breakpoint up to rho_c: (pins user 1, segment label, start breakpoint)
+_SWEEPS = ((False, "user2-pinned", "rho_1"), (True, "user1-pinned", "rho_2"))
+
 
 class InfeasibleRegionError(RuntimeError):
     """The achievable region is empty (harvest can never cover the cost)."""
@@ -220,15 +224,13 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     def affordable(rho_arr):
         return cost.rate_cap(eh.eval(np.asarray(rho_arr) * a), np.inf)
 
-    # sweep with user 2 pinned at its individual bound (R1 grows from 0)
-    rho1_grid = np.linspace(bp.rho_1, bp.rho_c, n_points)
-    r2_seg = rate_bound_user2(params, rho1_grid)
-    r1_seg = np.maximum(affordable(rho1_grid) - r2_seg, 0.0)
-
-    # symmetric sweep with user 1 pinned
-    rho2_grid = np.linspace(bp.rho_2, bp.rho_c, n_points)
-    r1b_seg = rate_bound_user1(params, rho2_grid)
-    r2b_seg = np.maximum(affordable(rho2_grid) - r1b_seg, 0.0)
+    parts = []
+    for pin_user1, segment, start in _SWEEPS:
+        rho = np.linspace(getattr(bp, start), bp.rho_c, n_points)
+        pinned = (rate_bound_user1 if pin_user1 else rate_bound_user2)(params, rho)
+        other = np.maximum(affordable(rho) - pinned, 0.0)
+        r1, r2 = (pinned, other) if pin_user1 else (other, pinned)
+        parts.append((r1, r2, rho, {"segment": segment}))
 
     # sum-rate face at the balancing factor (slope -1 between sweep ends)
     s = float(affordable(np.array([bp.rho_c]))[0])
@@ -237,12 +239,7 @@ def mdrb_simultaneous(params: ClassicalParams, n_points: int = 512):
     face_lo = max(s - b1c, 0.0)
     r2_face = np.linspace(face_lo, min(b2c, s), max(n_points // 8, 2))
     r1_face = np.where(s - r2_face < 0.0, 0.0, s - r2_face)  # max(s - r2, 0.0)
-
-    parts = (
-        (r1_seg, r2_seg, rho1_grid, {"segment": "user2-pinned"}),
-        (r1b_seg, r2b_seg, rho2_grid, {"segment": "user1-pinned"}),
-        (r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}),
-    )
+    parts.append((r1_face, r2_face, np.full(r2_face.size, bp.rho_c), {"segment": "sum-face"}))
     return frontier(*parts, hull=True)
 
 

@@ -19,8 +19,8 @@ from swipt_mac.classical_sic import (
     sic_sumrate_closed_form,
     sic_sumrate_numeric,
 )
-from swipt_mac.numerics import ScanConfig
-from swipt_mac.region import frontier
+from swipt_mac.numerics import ScanConfig, critical_points
+from swipt_mac.region import BoundaryCurve, frontier
 
 from conftest import check_slack_parity, classical_draws, fee_cap, iv_classical, iv_eh, nudge
 
@@ -195,7 +195,6 @@ def test_closed_form_consumes_the_harvest_and_orders_roots():
 
 def test_closed_form_matches_numeric_on_seeded_draws():
     rng = np.random.default_rng(20260214)
-    scan = ScanConfig(grid_points=20001, refine_iters=100)
     for _ in range(10):
         h1_sq, h2_sq = 10.0 ** rng.uniform(-2.2, -1.6, 2)
         p1, p2 = rng.uniform(0.2, 1.0, 2)
@@ -208,7 +207,7 @@ def test_closed_form_matches_numeric_on_seeded_draws():
             eh=sm.LinearEh(eta), cost=sm.ExpCost(beta),
         )
         cf = sic_sumrate_closed_form(params)
-        rep = sic_sumrate_numeric(params, scan)
+        rep = sic_sumrate_numeric(params)
         assert not cf.noise_warning
         assert cf.sum_rate == pytest.approx(rep.sum_rate, abs=1e-6)
         assert cf.rho_opt == pytest.approx(rep.rho_opt, abs=1e-5)
@@ -271,7 +270,7 @@ def _solves(params):
     """Everything a channel's breakpoints feed, as one repr."""
     return repr([
         [sic_breakpoints(params, order) for order in DecodingOrder],
-        sic_sumrate_numeric(params, ScanConfig(2001)),
+        sic_sumrate_numeric(params),
         sm.mdrb_sic(params, n_points=64),
     ])
 
@@ -322,7 +321,7 @@ def test_breakpoint_memo_stays_bounded():
     sic._breakpoints.cache_clear()
     size = sic._breakpoints.cache_info().maxsize
     for k in range(size):
-        sic_sumrate_numeric(iv_classical(sm.ExpCost(1e-3), p1=0.3 + 0.05 * k), ScanConfig(201))
+        sic_sumrate_numeric(iv_classical(sm.ExpCost(1e-3), p1=0.3 + 0.05 * k))
     assert sic._breakpoints.cache_info().currsize == size
 
 
@@ -376,6 +375,158 @@ def test_each_sum_rate_reaches_the_largest_sum_on_its_region(params):
         assume(False)
     assert simul >= widest(sm.mdrb_simultaneous(params)) - 1e-9
     assert sic_sumrate_numeric(params).sum_rate >= widest(sm.mdrb_sic(params)) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the sweeps: their breakpoints, and parity with the per-family build
+# ---------------------------------------------------------------------------
+
+_SMOOTH = classical_draws().filter(lambda p: not isinstance(p.cost, sm.ConstCost))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_SMOOTH)
+def test_every_sweep_starts_at_or_below_rho_c(params):
+    """rho_1 <= rho_c and rho_2 <= rho_c in both orders, bit for bit.
+
+    At every rho the two-message fee phi(b1) + phi(b2) is at least either
+    single fee in floats (a nonnegative addend never rounds a sum down), so
+    the rho_c residual psi(rho*a) - fee is at most each single-message one.
+    All three bisections start on [0, 1] and halve at the same midpoints
+    while they agree.  Where the rho_c residual is >= 0 so is the other, so
+    at the first midpoint where they part the rho_c residual is < 0 and
+    the other >= 0: rho_c ends above that midpoint, the other breakpoint
+    at or below it, and neither leaves its bracket.
+    """
+    for order in DecodingOrder:
+        try:
+            bp = sic_breakpoints(params, order)
+        except InfeasibleRegionError:  # a fee the harvest never covers
+            continue
+        assert bp.rho_1 <= bp.rho_c and bp.rho_2 <= bp.rho_c, order
+
+
+def _ref_order_segments(params, order, n_points):
+    """The parent's _order_segments: each sweep written out by hand."""
+    eh, cost, a = params.eh, params.cost, params.a
+    bp = sic_breakpoints(params, order)
+    tag = order.value
+    if isinstance(cost, sm.ConstCost):
+        b1s, b2s = sic_rate_bounds(params, bp.rho_1, order)
+        parts = [([b1s, 0.0], [0.0, b2s], [bp.rho_1] * 2,
+                  {"order": tag, "segment": "single-user"})]
+        if not math.isnan(bp.rho_c):
+            b1b, b2b = sic_rate_bounds(params, bp.rho_c, order)
+            parts.append(([b1b], [b2b], [bp.rho_c], {"order": tag, "segment": "both"}))
+        return parts
+    psi = lambda rho_arr: eh.eval(np.asarray(rho_arr) * a)
+    rho_a = np.linspace(bp.rho_1, bp.rho_c, n_points)
+    b1_a, b2_a = sic_rate_bounds(params, rho_a, order)
+    r1_a = cost.rate_cap(psi(rho_a) - cost.eval(b2_a), b1_a)
+    rho_b = np.linspace(bp.rho_2, bp.rho_c, n_points)
+    b1_b, b2_b = sic_rate_bounds(params, rho_b, order)
+    r2_b = cost.rate_cap(psi(rho_b) - cost.eval(b1_b), b2_b)
+    return [
+        (r1_a, b2_a, rho_a, {"order": tag, "segment": "user2-pinned"}),
+        (b1_b, r2_b, rho_b, {"order": tag, "segment": "user1-pinned"}),
+    ]
+
+
+def _ref_mdrb_sic(params, n_points=512):
+    parts, errors = [], []
+    for order in DecodingOrder:
+        try:
+            parts += _ref_order_segments(params, order, n_points)
+        except InfeasibleRegionError as err:
+            errors.append(str(err))
+    if not any(len(part[2]) for part in parts):
+        return BoundaryCurve(empty_reason="; ".join(errors))
+    return frontier(*parts, hull=True)
+
+
+def _ref_sic_sumrate_const(params):
+    """The parent's indicator-fee enumerator."""
+    if params.eh.eval(params.a) < params.cost.phi0:
+        raise InfeasibleRegionError("single decoding fee unaffordable")
+    candidates = [
+        (rho[0], max(x + y for x, y in zip(r1, r2)), f"{tag['order']}:{tag['segment']}")
+        for order in DecodingOrder
+        for r1, r2, rho, tag in _ref_order_segments(params, order, 2)
+    ]
+    rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
+    return sm.SolveReport(
+        rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": 0.0},
+        notes={"order": label.split(":")[0], "branch": label, "cost_family": "const"},
+    )
+
+
+def _ref_sic_sumrate_numeric(params, scan=None):
+    """The parent's smooth-fee enumerator, with its own sweep closure."""
+    scan = scan or ScanConfig()
+    eh, cost, a = params.eh, params.cost, params.a
+    if isinstance(cost, sm.ConstCost):
+        return _ref_sic_sumrate_const(params)
+
+    def sweep(order, pin_user1):
+        def f(rho, floor=-np.inf):
+            b1, b2 = sic_rate_bounds(params, rho, order)
+            pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
+            left = np.maximum(eh.eval(rho * a) - cost.eval(pinned), floor)
+            return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
+
+        return f
+
+    candidates = []
+    for order in DecodingOrder:
+        bp = sic_breakpoints(params, order)
+        for pin_user1, lo, label in (
+            (False, bp.rho_1, "user2-pinned"),
+            (True, bp.rho_2, "user1-pinned"),
+        ):
+            hi = bp.rho_c
+            if hi < lo:
+                continue
+            f = sweep(order, pin_user1)
+            rhos = [lo, hi]
+            if hi > lo:
+                rhos += critical_points(f, lo, hi, scan)
+            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
+            for rho, val in zip(rhos, f(np.array(rhos), floor)):
+                candidates.append((float(rho), float(val), f"{order.value}:{label}"))
+
+    rho_opt, sum_rate, label = max(candidates, key=lambda c: c[1])
+    tag, pinned = label.split(":")
+    b1, b2 = sic_rate_bounds(params, rho_opt, DecodingOrder(tag))
+    if pinned == "user1-pinned":
+        r1 = b1
+        r2 = sum_rate - r1
+    else:
+        r2 = b2
+        r1 = sum_rate - r2
+    resid = eh.eval(rho_opt * a) - (cost.eval(r1) + cost.eval(r2))
+    return sm.SolveReport(
+        rho_opt=rho_opt, sum_rate=sum_rate, residuals={"cost_balance_w": resid},
+        notes={"order": tag, "grid_points": scan.grid_points, "branch": label, "r1": r1, "r2": r2},
+    )
+
+
+def _outcome(solve, params):
+    """repr of solve(params), or the type and text of what it raised."""
+    try:
+        return repr(solve(params))
+    except InfeasibleRegionError as err:
+        return f"InfeasibleRegionError: {err}"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(classical_draws())
+@example(_CORNER)
+@example(iv_classical(sm.ConstCost(0.008)))  # both fees affordable
+@example(iv_classical(sm.ConstCost(0.013)))  # one fee
+@example(iv_classical(sm.ConstCost(0.025)))  # none
+def test_sweep_table_builds_what_the_per_family_code_built(params):
+    assert _outcome(sic_sumrate_numeric, params) == _outcome(_ref_sic_sumrate_numeric, params)
+    assert repr(sm.mdrb_sic(params)) == repr(_ref_mdrb_sic(params))
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +594,30 @@ def test_sic_slacks_match_the_removed_predicate(case):
     )
 
 
-def _worst_slacks(params, n_points=512):
-    """The smallest slack of each constraint over every point of both
-    regions, axis intercepts included; each SIC point in the decoding order
-    its label names."""
+def _worst_slacks(params, scheme, n_points=512):
+    """The smallest slack of each constraint over every point of the
+    "simul" or "sic" region, axis intercepts included; each SIC point in
+    the decoding order its label names."""
+    if scheme == "simul":
+        curve = sm.mdrb_simultaneous(params, n_points)
+        slacks = simul_slacks(params, curve.r1, curve.r2, curve.rho)
+        return {k: float(v.min(initial=np.inf)) for k, v in slacks.items()}
     worst = {}
-    curve = sm.mdrb_simultaneous(params, n_points)
-    for k, v in simul_slacks(params, curve.r1, curve.r2, curve.rho).items():
-        worst[f"simul {k}"] = float(v.min(initial=np.inf))
     curve = sm.mdrb_sic(params, n_points)
     orders = np.array([curve.labels[k]["order"] for k in curve.label.tolist()], dtype=object)
     for order in DecodingOrder:
         at = orders == order.value
         for k, v in sic_slacks(params, curve.r1[at], curve.r2[at], curve.rho[at], order).items():
-            worst[f"sic {k}"] = min(worst.get(f"sic {k}", np.inf), float(v.min(initial=np.inf)))
+            worst[k] = min(worst.get(k, np.inf), float(v.min(initial=np.inf)))
     return worst
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(classical_draws())
 def test_every_region_point_meets_its_own_constraints(params):
-    for name, worst in _worst_slacks(params).items():
-        assert worst >= -1e-9, name
+    for scheme in ("simul", "sic"):
+        for name, worst in _worst_slacks(params, scheme).items():
+            assert worst >= -1e-9, f"{scheme} {name}"
 
 
 @pytest.mark.xfail(
@@ -473,12 +626,20 @@ def test_every_region_point_meets_its_own_constraints(params):
     reason="ROADMAP item 10: at huge powers the breakpoints lose the decoder share 1 - rho",
 )
 @pytest.mark.parametrize(
-    "cost, power", [(sm.LogCost(1e-3), 5e7), (sm.ExpCost(1e-3), 5e11)], ids=["log", "exp"]
+    "scheme, cost, power",
+    [
+        ("simul", sm.LogCost(1e-3), 5e7),
+        ("simul", sm.ExpCost(1e-3), 5e11),
+        ("sic", sm.ExpCost(1e-3), 5e11),
+        ("sic", sm.LogCost(1e-3), 5e11),
+    ],
+    ids=["log", "exp", "sic-exp", "sic-log"],
 )
-def test_region_points_meet_their_constraints_at_huge_powers(cost, power):
-    # the fig3b channel at p1 = p2 = power: LogCost points overshoot the sum
-    # bound by 2.08e-4 bits, ExpCost ones the harvest by 1.37e-5 W
+def test_region_points_meet_their_constraints_at_huge_powers(scheme, cost, power):
+    # the fig3b channel at p1 = p2 = power: SD LogCost points overshoot the
+    # sum bound by 2.08e-4 bits, SD ExpCost ones the harvest by 1.37e-5 W;
+    # SIC points overspend the harvest by 1.37e-5 W (ExpCost) and 2.47e-4 W
+    # (LogCost)
     params = iv_classical(cost, p1=power, p2=power)
-    curve = sm.mdrb_simultaneous(params)
-    for k, v in simul_slacks(params, curve.r1, curve.r2, curve.rho).items():
-        assert np.all(v >= -1e-9), k
+    for name, worst in _worst_slacks(params, scheme).items():
+        assert worst >= -1e-9, name

@@ -159,6 +159,18 @@ def test_dominates_weak_containment_and_reach():
     assert not sm.dominates(tall, wide, 1e-9)
 
 
+def test_dominates_gives_nothing_beyond_reach_when_the_reach_test_rounds_away():
+    # b reaches 2^-52 past a with a tolerance of 2^-53: the reach test lets
+    # it through, since 1 + 2^-52 - 2^-53 rounds half-to-even back to 1.0,
+    # and np.interp would hold a's last r1 = 0.4 >= 0.3 there; only the
+    # zeroing beyond a's reach sees that a achieves nothing at b's last r2
+    a = sm.BoundaryCurve(r1=[0.5, 0.4], r2=[0.5, 1.0], rho=[0.1, 0.1])
+    b = sm.BoundaryCurve(r1=[0.45, 0.3], r2=[0.5, np.nextafter(1.0, 2.0)], rho=[0.1, 0.1])
+    tol = 2.0 ** -53
+    assert not a.r2[-1] < b.r2[-1] - tol  # the reach test passes
+    assert not sm.dominates(a, b, tol)
+
+
 def test_dominates_rejects_empty_curves():
     curve = hull_of([pt(1.0, 0.5)])
     empty = sm.BoundaryCurve(empty_reason="fee exceeds harvest")

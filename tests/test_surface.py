@@ -136,3 +136,28 @@ def test_each_model_family_states_its_formula_once():
             assert "kernel" not in own and "rate_cap" not in own, cls.__name__
             assert own["eval"] is base.eval, cls.__name__
             assert own["inverse"] is base.inverse, cls.__name__
+
+
+def test_each_classical_sweep_is_stated_once():
+    """One SIC sum-rate enumerator serves every fee family, takes no scan
+    option, and the two sweep labels are written once in src/, in the
+    _SWEEPS table both classical schemes loop over."""
+    assert not hasattr(importlib.import_module("swipt_mac.classical_sic"), "_sic_sumrate_const")
+    assert list(inspect.signature(sm.sic_sumrate_numeric).parameters) == ["params"]
+    where = {"user1-pinned": [], "user2-pinned": []}
+    for path in sorted(pathlib.Path(sm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign)
+            and [getattr(t, "id", None) for t in stmt.targets] == ["_SWEEPS"]
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in where:
+                where[node.value].append((path.name, id(node) in table))
+    assert where == {
+        "user1-pinned": [("classical_simul.py", True)],
+        "user2-pinned": [("classical_simul.py", True)],
+    }
