@@ -39,6 +39,14 @@ from .classical_simul import (
 )
 from .region import BoundaryCurve, frontier
 
+# the pruned SIC scan (_sweep_candidates): live cells are cut at every
+# _STRIDES[i]-th grid node in turn, a live cell is scanned with _PAD nodes
+# on either side, and a cell bound is raised by _SLACK of itself, since its
+# falling and rising parts can each miss monotonicity by a few ulps in floats
+_STRIDES = (64, 8)
+_PAD = 4
+_SLACK = 1e-12
+
 __all__ = [
     "DecodingOrder",
     "SicBreakpoints",
@@ -105,12 +113,15 @@ def sic_rate_bounds(params: ClassicalParams, rho, order: DecodingOrder):
     second is decoded on the cleaned signal.  Vectorizes over rho; a scalar
     rho gives floats.
     """
+    return _bound(params, rho, order, True), _bound(params, rho, order, False)
+
+
+def _bound(params, rho, order, user1):
+    """User 1's (user1 true) or user 2's rate bound at rho in the order."""
     s1, s2 = params.h1_sq * params.p1, params.h2_sq * params.p2
-    first = order == DecodingOrder.USER1_FIRST
-    s_first, s_second = (s1, s2) if first else (s2, s1)
-    b_first = _snr_bound(s_first, s_second + params.n, params.n_p, rho)
-    b_second = _snr_bound(s_second, params.n, params.n_p, rho)
-    return (b_first, b_second) if first else (b_second, b_first)
+    own, other = (s1, s2) if user1 else (s2, s1)
+    first = (order == DecodingOrder.USER1_FIRST) == user1
+    return _snr_bound(own, other + params.n if first else params.n, params.n_p, rho)
 
 
 def sic_slacks(params: ClassicalParams, r1, r2, rho, order: DecodingOrder) -> dict:
@@ -147,16 +158,17 @@ def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
             both = math.nan  # double fee never affordable
         return both, single, single
 
-    def fee(*users):  # the fee of the messages of users (0: user 1, 1: user 2)
-        def f(x):
-            bounds = sic_rate_bounds(params, x, order)
-            return sum(cost.eval(bounds[u]) for u in users)
-        return f
+    def both(x):
+        b1, b2 = sic_rate_bounds(params, x, order)
+        return cost.eval(b1) + cost.eval(b2)
+
+    def one(user1):  # the fee of user 1's (user1 true) or user 2's message
+        return lambda x: cost.eval(_bound(params, x, order, user1))
 
     return (
-        _balance_root(params, fee(0, 1), "two-message"),
-        _balance_root(params, fee(1), "second-message"),
-        _balance_root(params, fee(0), "first-message"),
+        _balance_root(params, both, "two-message"),
+        _balance_root(params, one(False), "second-message"),
+        _balance_root(params, one(True), "first-message"),
     )
 
 
@@ -254,6 +266,106 @@ def sic_max_sum_at_rho(params: ClassicalParams, rho: float):
     return best, tag
 
 
+def _sum_rate(params, pinned, left, cap):
+    """r1 + r2 of sweep points (see _sweep); -inf where the harvest does
+    not pay the pinned message's fee."""
+    return np.where(left < 0.0, -np.inf, pinned + params.cost.rate_cap(left, cap))
+
+
+def _objective(params, order, pin_user1):
+    """One sweep's r1 + r2 as a function of rho (floats or arrays)."""
+
+    def f(rho, floor=-np.inf):
+        """The objective at rho, with the harvest left after the pinned
+        message raised to floor where that is higher."""
+        pinned, left, cap = _sweep(params, order, pin_user1, rho)
+        return _sum_rate(params, pinned, np.maximum(left, floor), cap)
+
+    return f
+
+
+def _nodes(params, sweep, n, k):
+    """(k, pinned, left, cap, objective) at the nodes k of one sweep's
+    n-step grid."""
+    order, _, pin_user1, lo, hi = sweep
+    pinned, left, cap = _sweep(params, order, pin_user1, lo + (hi - lo) / n * k)
+    return k, pinned, left, cap, _sum_rate(params, pinned, left, cap)
+
+
+def _cell_bounds(params, nodes):
+    """Upper bound, raised by _SLACK of itself, of the objective on each
+    cell between consecutive nodes: pinned and cap fall in rho and left
+    rises, so on [x, y] the objective is at most
+    pinned(x) + rate_cap(left(y), cap(x))."""
+    _, pinned, left, cap, _ = nodes
+    bound = pinned[:-1] + params.cost.rate_cap(left[1:], cap[:-1])
+    return bound + _SLACK * np.abs(bound)
+
+
+def _refined(params, sweep, n, nodes, live, stride):
+    """nodes with every live cell cut at each stride-th grid node inside it."""
+    k = nodes[0]
+    first, last = k[:-1][live], k[1:][live]
+    new = first[:, None] + np.arange(stride, int(np.max(last - first, initial=0)), stride)
+    new = new[new < last[:, None]]
+    if not new.size:
+        return nodes
+    order = np.argsort(np.concatenate([k, new]))
+    return tuple(np.concatenate([old, add])[order]
+                 for old, add in zip(nodes, _nodes(params, sweep, n, new)))
+
+
+def _live_runs(k, live, n):
+    """Node runs (first, last) of consecutive live cells, _PAD nodes wider
+    on either side."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], live.astype(np.int8), [0]))))
+    return [(max(int(k[a]) - _PAD, 0), min(int(k[b]) + _PAD, n))
+            for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _sweep_candidates(params, sweeps):
+    """(rho, r1 + r2, order, segment, pins user 1) of each smooth sweep's
+    ends and interior critical points, sweep by sweep.
+
+    The critical points are those of critical_points' whole default grid,
+    but only cells that can hold the winner are scanned.  Each sweep starts
+    as one cell; at each of _STRIDES, every cell whose bound reaches the
+    best end or node value of any sweep so far is cut at every stride-th
+    grid node.  Skipping the cells whose bounds stay below it drops only
+    candidates below that value; unless the winner then beats every
+    skipped cell's bound, every sweep's whole grid is scanned.
+    """
+    n = ScanConfig().grid_points  # critical_points' default grid
+    fs = [_objective(params, order, pin) for order, _, pin, _, _ in sweeps]
+    # the ends are bisected balance points, where the harvest just pays the
+    # pinned message: score them at that limit, since roundoff leaves them
+    # short of it about half the time
+    ends = [f(np.array([lo, hi]), 0.0) for f, (*_, lo, hi) in zip(fs, sweeps)]
+    grids = [_nodes(params, sweep, n, np.array([0, n])) for sweep in sweeps]
+    for stride in _STRIDES:
+        best = np.max(np.concatenate(ends + [value for *_, value in grids]))
+        grids = [_refined(params, sweep, n, g, ~(_cell_bounds(params, g) < best), stride)
+                 for sweep, g in zip(sweeps, grids)]
+    best = np.max(np.concatenate(ends + [value for *_, value in grids]))
+    bounds = [_cell_bounds(params, g) for g in grids]
+    skip = [b < best for b in bounds]
+
+    def scan(runs):
+        out = []
+        for (order, segment, pin, lo, hi), f, run in zip(sweeps, fs, runs):
+            rhos = [lo, hi] + (critical_points(f, lo, hi, runs=run) if hi > lo else [])
+            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
+            out += [(float(rho), float(val), order, segment, pin)
+                    for rho, val in zip(rhos, f(np.array(rhos), floor))]
+        return out
+
+    candidates = scan([_live_runs(k, ~s, n) for (k, *_), s in zip(grids, skip)])
+    winner = max(c[1] for c in candidates)
+    if all(np.all(b[s] < winner) for b, s in zip(bounds, skip)):
+        return candidates
+    return scan([None] * len(sweeps))
+
+
 def sic_sumrate_numeric(params: ClassicalParams) -> SolveReport:
     """Optimal SIC sum rate by candidate enumeration over both decoding orders.
 
@@ -270,6 +382,7 @@ def sic_sumrate_numeric(params: ClassicalParams) -> SolveReport:
         raise InfeasibleRegionError("single decoding fee unaffordable")
 
     candidates = []  # (rho, r1 + r2, order, segment, pins user 1)
+    sweeps = []  # (order, segment, pins user 1, lo, hi)
     for order in DecodingOrder:
         if const:
             candidates += [
@@ -278,23 +391,10 @@ def sic_sumrate_numeric(params: ClassicalParams) -> SolveReport:
             ]
             continue
         bp = sic_breakpoints(params, order)
-        for pin_user1, segment, start in _SWEEPS:
-
-            def f(rho, floor=-np.inf):
-                """The objective at rho, with the harvest left after the
-                pinned message raised to floor where that is higher."""
-                pinned, left, cap = _sweep(params, order, pin_user1, rho)
-                left = np.maximum(left, floor)
-                return np.where(left < 0.0, -np.inf, pinned + cost.rate_cap(left, cap))
-
-            lo, hi = getattr(bp, start), bp.rho_c
-            rhos = [lo, hi] + (critical_points(f, lo, hi) if hi > lo else [])
-            # the ends are bisected balance points, where the harvest just
-            # pays the pinned message: score them at that limit, since
-            # roundoff leaves them short of it about half the time
-            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
-            for rho, val in zip(rhos, f(np.array(rhos), floor)):
-                candidates.append((float(rho), float(val), order, segment, pin_user1))
+        sweeps += [(order, segment, pin_user1, getattr(bp, start), bp.rho_c)
+                   for pin_user1, segment, start in _SWEEPS]
+    if sweeps:
+        candidates = _sweep_candidates(params, sweeps)
 
     rho_opt, sum_rate, order, segment, pin_user1 = max(candidates, key=lambda c: c[1])
     branch = f"{order.value}:{segment}"

@@ -75,6 +75,9 @@ _DEFAULT_SCAN = ScanConfig()
 _EPS = float(np.finfo(float).eps)
 # central differences within this many ulps of f are roundoff (critical_points)
 _FLAT_ULPS = 1024.0
+# nodes a run of critical_points grows leftwards by when the roots before it
+# could drop its first root
+_WIDEN = 64
 
 def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     """Root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
@@ -118,16 +121,16 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
     return 0.5 * (lo + hi)
 
 
-def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
+def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN, runs=None):
     """Interior sign changes of the central-difference derivative of f.
 
-    f must accept arrays: it is sampled once, in one batch, on the
-    grid_points+1 nodes lo + k*h with h = (hi-lo)/grid_points, and the
-    central difference at each interior node is taken from its two
-    neighbours' samples; each sign change is refined by scalar bisection on
-    the derivative.  Endpoints are excluded; an empty list is a legitimate
-    answer for monotone f.  A NaN sample (an infeasible neighbour on either
-    side) brackets nothing.
+    f must accept arrays: it is sampled in one batch on the grid nodes
+    lo + k*h, h = (hi-lo)/grid_points, k = 0..grid_points, and the central
+    difference at a node is taken from its two neighbours' samples; each
+    sign change is refined by scalar bisection on the derivative, and a
+    root within 2h of the last one kept is dropped.  Endpoints are
+    excluded; an empty list is a legitimate answer for monotone f.  A NaN
+    sample (an infeasible neighbour on either side) brackets nothing.
 
     Where f is flat to roundoff (at both ends of a bracket the two samples
     of the difference agree within _FLAT_ULPS * eps * |f|), the sign of the
@@ -135,30 +138,59 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
     returned, whose value is within _FLAT_ULPS/8 * eps * |f| of any extremum
     inside it.  A plateau can hold thousands of such brackets, and
     bisecting each one would cost more than the whole scan.
+
+    runs=None scans the whole grid.  Otherwise runs is a sequence of
+    (first, last) node indices in 0..grid_points, and only those nodes are
+    sampled (in one batch) and only the brackets whose four samples lie in
+    one run are scanned; the roots found are then the whole-grid scan's
+    roots of those brackets, bit for bit.  For that, a run whose first
+    sign change starts within 2h of the run's first interior node (so that
+    a root before the run could drop its first root) grows _WIDEN nodes
+    leftwards and the runs are sampled again, until no run but one that
+    starts at node 0 has such a sign change.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    h = (hi - lo) / cfg.grid_points
+    n = cfg.grid_points
+    h = (hi - lo) / n
 
     def df(x):
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
-    nodes = lo + h * np.arange(cfg.grid_points + 1)
-    xs = nodes[1:-1]  # interior nodes, where the central difference has both sides
+    runs = _merged([(0, n)] if runs is None else runs, n)
+    if not runs:
+        return []
     roots = []
     with np.errstate(invalid="ignore"):  # -inf - -inf and inf * 0 are NaN
-        samples = f(nodes)
-        up, down = samples[2:], samples[:-2]
-        d = (up - down) / (2.0 * h)
-        prev, cur = d[:-1], d[1:]
-        # a run of exact zeros counts once, where it starts
-        change = ~np.isnan(prev) & (
-            (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
-        )
-        i = np.flatnonzero(change)
-        k = np.stack([i, i + 1])  # the roundoff test runs at bracket ends only
-        u, w = up[k], down[k]
-        flat = np.isfinite(d[k]) & (
+        while True:
+            k = np.concatenate([np.arange(a, b + 1) for a, b in runs])
+            nodes = lo + h * k
+            samples = f(nodes)
+            up, down = samples[2:], samples[:-2]
+            # a node's difference needs both of its neighbours in its run
+            d = np.where(k[2:] - k[:-2] == 2, (up - down) / (2.0 * h), np.nan)
+            prev, cur = d[:-1], d[1:]
+            # a run of exact zeros counts once, where it starts
+            change = ~np.isnan(prev) & (
+                (prev * cur < 0.0) | ((cur == 0.0) & (prev != 0.0))
+            )
+            i = np.flatnonzero(change)  # bracket i spans nodes[i+1], nodes[i+2]
+            starts = np.cumsum([0] + [b - a + 1 for a, b in runs])
+            heads = np.searchsorted(i, starts[:-1])  # each run's first bracket
+            grow = [
+                a > 0 and j < len(i) and i[j] < end
+                and nodes[i[j] + 1] - nodes[p + 1] <= 2.0 * h
+                for (a, _), p, end, j in zip(runs, starts, starts[1:], heads)
+            ]
+            if not any(grow):
+                break
+            runs = _merged(
+                [(max(a - _WIDEN, 0) if g else a, b) for (a, b), g in zip(runs, grow)], n
+            )
+        xs = nodes[1:-1]  # interior nodes, where the central difference has both sides
+        ends = np.stack([i, i + 1])  # the roundoff test runs at bracket ends only
+        u, w = up[ends], down[ends]
+        flat = np.isfinite(d[ends]) & (
             np.abs(u - w) <= _FLAT_ULPS * _EPS * np.maximum(np.abs(u), np.abs(w))
         )
         noise = flat.all(0).tolist()  # flat at both ends
@@ -173,6 +205,19 @@ def critical_points(f, lo, hi, cfg: ScanConfig = _DEFAULT_SCAN):
             if not roots or abs(r - roots[-1]) > 2.0 * h:
                 roots.append(r)
     return roots
+
+
+def _merged(runs, n):
+    """Node runs (first, last) in order, overlapping or touching ones joined."""
+    out = []
+    for a, b in sorted(runs):
+        if not 0 <= a <= b <= n:
+            raise ValueError(f"run ({a}, {b}) outside nodes 0..{n}")
+        if out and a <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
 
 
 def solve_2x2(m11, m12, m21, m22, rhs1, rhs2):

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.classical_sic as sic
-from swipt_mac.classical_simul import simul_breakpoints, simul_closed_form, simul_slacks
+from swipt_mac.classical_simul import (
+    _balance_root,
+    simul_breakpoints,
+    simul_closed_form,
+    simul_slacks,
+)
 from swipt_mac.classical_sic import (
     DecodingOrder,
     InfeasibleRegionError,
@@ -19,6 +24,7 @@ from swipt_mac.classical_sic import (
     sic_sumrate_closed_form,
     sic_sumrate_numeric,
 )
+from swipt_mac.cli import PRESETS, ingest_config
 from swipt_mac.numerics import ScanConfig, critical_points
 from swipt_mac.region import BoundaryCurve, frontier
 
@@ -527,6 +533,162 @@ def _outcome(solve, params):
 def test_sweep_table_builds_what_the_per_family_code_built(params):
     assert _outcome(sic_sumrate_numeric, params) == _outcome(_ref_sic_sumrate_numeric, params)
     assert repr(sm.mdrb_sic(params)) == repr(_ref_mdrb_sic(params))
+
+
+def _ref_breakpoints(params, order):
+    """The parent's smooth-fee _breakpoints: every fee through both users'
+    bounds."""
+    cost = params.cost
+
+    def fee(*users):
+        def f(x):
+            bounds = sic_rate_bounds(params, x, order)
+            return sum(cost.eval(bounds[u]) for u in users)
+        return f
+
+    return (
+        _balance_root(params, fee(0, 1), "two-message"),
+        _balance_root(params, fee(1), "second-message"),
+        _balance_root(params, fee(0), "first-message"),
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_SMOOTH)
+@example(_CORNER)
+def test_breakpoints_bound_only_the_users_they_charge(params):
+    for order in DecodingOrder:
+        got, want = (
+            _outcome(lambda p: solve(p, order), params)
+            for solve in (sic._breakpoints.__wrapped__, _ref_breakpoints)
+        )
+        assert got == want, order
+
+
+# ---------------------------------------------------------------------------
+# the pruned scan: the whole grid's answer from a fraction of its nodes
+# ---------------------------------------------------------------------------
+
+_PRESETS = {
+    name: ingest_config(PRESETS[name]).classical
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
+}
+# LinCost fees on a saturated logistic harvester: each sweep objective is
+# flat to roundoff over the top of its interval, where critical_points
+# returns thousands of flat-bracket midpoints
+_PLATEAUS = [
+    iv_classical(sm.LinCost(0.02483012281629414), h1_sq=0.03560290984718517,
+                 h2_sq=0.007198208518308677, p1=0.7493304582979747, p2=0.3735376463276865),
+    iv_classical(sm.LinCost(0.007626647371716245), h1_sq=0.03269777486844022,
+                 h2_sq=0.0008566566314024229, p1=0.8019969411396285, p2=0.23510779558593717),
+]
+
+
+@st.composite
+def _plateau_draws(draw):
+    """LinCost channels strong enough to saturate the logistic harvester."""
+    h1, h2 = draw(st.floats(0.1, 0.2)), draw(st.floats(0.02, 0.2))
+    return iv_classical(
+        sm.LinCost(10.0 ** draw(st.floats(-2.5, -1.5))), h1_sq=h1 * h1, h2_sq=h2 * h2,
+        p1=draw(st.floats(0.5, 1.0)), p2=draw(st.floats(0.1, 1.0)),
+    )
+
+
+def _scan_log(monkeypatch):
+    """Per sic_sumrate_numeric call: the array nodes handed to _sweep, the
+    runs of each critical_points call, and the number of roots of each."""
+    log = {"nodes": 0, "runs": [], "roots": []}
+    sweep, scan = sic._sweep, sic.critical_points
+
+    def counted_sweep(params, order, pin_user1, rho):
+        if isinstance(rho, np.ndarray):
+            log["nodes"] += rho.size
+        return sweep(params, order, pin_user1, rho)
+
+    def logged_scan(f, lo, hi, runs=None):
+        log["runs"].append(runs)
+        log["roots"].append(len(roots := scan(f, lo, hi, runs=runs)))
+        return roots
+
+    monkeypatch.setattr(sic, "_sweep", counted_sweep)
+    monkeypatch.setattr(sic, "critical_points", logged_scan)
+    return log
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.one_of(classical_draws(), _plateau_draws()))
+@example(_PRESETS["fig3a"])
+@example(_PRESETS["fig3b"])
+@example(_PRESETS["fig3c"])
+@example(_PRESETS["fig3d"])
+@example(_PRESETS["fig4a"])
+@example(_PRESETS["fig4b"])
+@example(_PLATEAUS[0])
+@example(_PLATEAUS[1])
+def test_pruned_scan_matches_the_whole_grid(params):
+    assert _outcome(sic_sumrate_numeric, params) == _outcome(_ref_sic_sumrate_numeric, params)
+
+
+@pytest.mark.parametrize("params", _PLATEAUS, ids=["plateau0", "plateau1"])
+def test_pruned_scan_keeps_a_plateau_whole(params, monkeypatch):
+    log = _scan_log(monkeypatch)
+    got = repr(sic_sumrate_numeric(params))
+    assert max(log["roots"]) > 1000  # the plateau's midpoints are scanned
+    assert None not in log["runs"]  # without the whole-grid fallback
+    assert got == repr(_ref_sic_sumrate_numeric(params))
+
+
+@pytest.mark.parametrize(
+    "params", [_PRESETS["fig4b"], _CORNER, _PLATEAUS[0]], ids=["fig4b", "corner", "plateau0"]
+)
+def test_a_failed_certificate_scans_every_whole_grid(params, monkeypatch):
+    nodes = sic._nodes
+
+    def optimistic(*args):  # every node value +inf: every cell is skipped
+        *parts, value = nodes(*args)
+        return (*parts, np.full_like(value, np.inf))
+
+    monkeypatch.setattr(sic, "_nodes", optimistic)
+    log = _scan_log(monkeypatch)
+    got = repr(sic_sumrate_numeric(params))
+    # nothing scanned, then the winner (an end) is below some skipped
+    # cell's bound, so all four sweeps are scanned whole
+    assert log["runs"] == [[]] * 4 + [None] * 4
+    assert got == repr(_ref_sic_sumrate_numeric(params))
+
+
+def _smooth_draws(count, seed=20260331):
+    """Fixed channels drawn as classical_draws draws them, smooth fees only."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        h1, h2 = rng.uniform(0.02, 0.2, size=2)
+        eh = iv_eh() if k % 2 else sm.LinearEh(rng.uniform(0.3, 1.0))
+        family = (sm.ExpCost, sm.LogCost, sm.LinCost)[k % 3]
+        out.append(sm.ClassicalParams(
+            h1_sq=h1 * h1, h2_sq=h2 * h2, p1=rng.uniform(0.1, 1.0),
+            p2=rng.uniform(0.1, 1.0), n=1e-6, n_p=1e-3, eh=eh,
+            cost=family(10.0 ** rng.uniform(-3.2, -1.5)),
+        ))
+    return out
+
+
+def test_the_scan_evaluates_a_tenth_of_the_grid(monkeypatch):
+    """A silent return to whole-grid scans (say a certificate that always
+    fails) shows here: each channel's four sweeps have 4 * 20001 steps."""
+    whole = 4 * ScanConfig().grid_points
+    log = _scan_log(monkeypatch)
+
+    def nodes_of(params):
+        log["nodes"], log["runs"] = 0, []
+        sic_sumrate_numeric(params)
+        assert None not in log["runs"], params  # no fallback
+        return log["nodes"]
+
+    for name in ("fig3a", "fig3b", "fig3c", "fig4a", "fig4b"):
+        assert nodes_of(_PRESETS[name]) <= 0.1 * whole, name
+    draws = _smooth_draws(20)
+    assert sum(nodes_of(p) for p in draws) <= 0.1 * whole * len(draws)
 
 
 # ---------------------------------------------------------------------------

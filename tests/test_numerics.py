@@ -215,6 +215,61 @@ def test_critical_points_match_the_every_node_flatness_test(case):
         assert all(type(r) is float for r in got)
 
 
+@st.composite
+def _node_runs(draw, n):
+    """Up to three runs of at least three grid nodes, in any order."""
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 2))
+        runs.append((a, draw(st.integers(a + 2, n))))
+    return runs
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_objectives(), st.data())
+def test_node_runs_find_the_whole_grid_roots_inside_them(case, data):
+    f, lo, hi, cfg = case
+    n = cfg.grid_points
+    runs = data.draw(_node_runs(n))
+    whole = _outcome(sm.critical_points, f, lo, hi, cfg)
+    if not isinstance(whole, list):  # raised on a bracket the runs may skip
+        return
+    got = sm.critical_points(f, lo, hi, cfg, runs)
+    rest = iter(whole)  # got is a subsequence of whole, bit for bit
+    assert all(any(r.hex() == w.hex() for w in rest) for r in got)
+    nodes = lo + (hi - lo) / n * np.arange(n + 1)
+    for a, b in runs:  # and holds each root whose bracket the run covers
+        if b - a >= 4:
+            inside = {w.hex() for w in whole if nodes[a + 2] <= w <= nodes[b - 2]}
+            assert inside <= {r.hex() for r in got}
+
+
+def test_a_run_inside_a_plateau_grows_until_its_first_root_is_the_whole_grids():
+    batch_sizes = []
+
+    def plateau(x):
+        batch_sizes.append(np.size(x))
+        return (1.3 + x) - x  # constant up to one ulp of roundoff
+
+    cfg = ScanConfig(4001, 40)
+    whole = sm.critical_points(plateau, 0.0, 1.0, cfg)
+    batch_sizes.clear()
+    got = sm.critical_points(plateau, 0.0, 1.0, cfg, [(3000, 3100)])
+    # the noise changes sign near the run's start, so the run grows
+    # leftwards and is sampled again (101 nodes, then 165, ...)
+    assert batch_sizes[:2] == [101, 165]
+    end = 1.0 / 4001 * 3099  # the last bracket the run covers ends here
+    assert got[0] < 1.0 / 4001 * 3000
+    assert got == [r for r in whole if got[0] <= r < end]
+
+
+def test_node_runs_outside_the_grid_are_refused():
+    for runs in ([(-1, 5)], [(5, 4)], [(0, 41)]):
+        with pytest.raises(ValueError):
+            sm.critical_points(np.sin, 0.0, 1.0, ScanConfig(40), runs)
+    assert sm.critical_points(np.sin, 0.0, 1.0, ScanConfig(40), []) == []
+
+
 def test_solve_2x2_matches_numpy():
     rng = np.random.default_rng(11)
     for _ in range(50):
