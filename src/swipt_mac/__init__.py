@@ -6,7 +6,7 @@ Modules
 -------
 models            EH / decoding-cost model families and parameter records
 numerics          bracketed bisection, critical points of an array
-                  objective, 2x2 linear solve
+                  objective
 region            boundary curves, time-sharing hulls, dominance metrics
 classical_simul   simultaneous decoding: bounds, breakpoints, MDRB, sum rate
 classical_sic     successive decoding: both orders, MDRB, sum rate

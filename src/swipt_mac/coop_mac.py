@@ -10,43 +10,33 @@ sum mutual-information bound with the coherent power
 
     S = h1^2*(p12+pu1) + h2^2*(p21+pu2) + 2*h1*h2*sqrt(pu1*pu2).
 
-Weighted-rate solves:
+``coop_solve_general`` is the weighted-rate solver.  More common power
+only raises S, so an optimum spends both budgets, and the fresh powers
+(p12, p21) fix everything else:
 
-* ``coop_solve_closed_form`` evaluates the linear-system shortcut obtained
-  by clearing the denominators of the reduced objective's stationarity
-  conditions.  That clearing is degenerate: the cleared pair forces the
-  spurious root 1+b*P12 = 1+c*P21 = 0, so its unique solution is always
-  P12 = -1/b, P21 = -1/c, Pu1 = P_U1 + 1/b + beta (shown symbolically; see
-  the regression tests).  The routine reproduces those formulas faithfully
-  and its validity screen (all powers >= 0, rho in [0,1]) therefore rejects
-  the result for every parameter set with mu1*mu2 > 0 and beta^2*b*c != 1.
-* ``coop_solve_general`` is the load-bearing numeric solver.  More common
-  power only raises S, so an optimum spends both budgets, and the fresh
-  powers (p12, p21) fix everything else:
+    pu1 = P_U1 - p12 - phi1(r2),   pu2 = P_U2 - p21 - phi2(r1).
 
-      pu1 = P_U1 - p12 - phi1(r2),   pu2 = P_U2 - p21 - phi2(r1).
+Raising either fresh power raises both rates and lowers pu1, pu2 and S
+(every fee phi is non-decreasing).  The destination fee needs
+rho >= rho_min = psi^-1(phi_d(r1+r2)) / (S+n), which rises in both
+powers, and the sum MI bound needs rho <= rho_max =
+1 - q*n_p/(S - q*n) with q = 2^(2(r1+r2)) - 1, which falls in both.  So
+(p12, p21) is feasible iff pu1 >= 0, pu2 >= 0, rho_hi =
+min(1, rho_max) >= 0 and psi(rho_hi*(S+n)) >= phi_d(r1+r2): a
+closed-form test whose feasible set is downward closed.  The weighted
+rate rises in both powers, so every optimum lies on the upper boundary
+p21*(p12) of that set (monotonic optimisation: H. Tuy, "Monotonic
+optimization: problems and solution approaches", SIAM J. Optim. 11(2),
+2000).  The paper's joint optimal PS factor is then any rho in
+[max(0, rho_min), rho_hi] at the optimal powers.
 
-  Raising either fresh power raises both rates and lowers pu1, pu2 and S
-  (every fee phi is non-decreasing).  The destination fee needs
-  rho >= rho_min = psi^-1(phi_d(r1+r2)) / (S+n), which rises in both
-  powers, and the sum MI bound needs rho <= rho_max =
-  1 - q*n_p/(S - q*n) with q = 2^(2(r1+r2)) - 1, which falls in both.  So
-  (p12, p21) is feasible iff pu1 >= 0, pu2 >= 0, rho_hi =
-  min(1, rho_max) >= 0 and psi(rho_hi*(S+n)) >= phi_d(r1+r2): a
-  closed-form test whose feasible set is downward closed.  The weighted
-  rate rises in both powers, so every optimum lies on the upper boundary
-  p21*(p12) of that set (monotonic optimisation: H. Tuy, "Monotonic
-  optimization: problems and solution approaches", SIAM J. Optim. 11(2),
-  2000).  The paper's joint optimal PS factor is then any rho in
-  [max(0, rho_min), rho_hi] at the optimal powers.
-
-  The solver traces that boundary: one bisection on the feasibility test
-  per p12 of a grid, then zoom grids in p12 around the best point, each
-  zoom point bracketed by its neighbours since p21* is non-increasing.
-  The trace runs in both user orientations, as given and with the users
-  swapped, so the boundary is met from both axes; the rows of both run as
-  one numpy batch, each with its own orientation's constants and fee
-  families, and the better orientation wins.
+The solver traces that boundary: one bisection on the feasibility test
+per p12 of a grid, then zoom grids in p12 around the best point, each
+zoom point bracketed by its neighbours since p21* is non-increasing.
+The trace runs in both user orientations, as given and with the users
+swapped, so the boundary is met from both axes; the rows of both run as
+one numpy batch, each with its own orientation's constants and fee
+families, and the better orientation wins.
 """
 
 from __future__ import annotations
@@ -60,21 +50,17 @@ import numpy as np
 from .models import (
     ClassicalParams,
     CoopParams,
-    ExpCost,
-    LinearEh,
     NoInverseError,
     PowerAllocation,
     SaturationError,
 )
-from .numerics import ConvergenceError, ScanConfig, SingularMatrixError, solve_2x2
+from .numerics import ConvergenceError, ScanConfig
 from .region import BoundaryCurve, frontier
 from .classical_simul import _snr_bound
 
 __all__ = [
-    "NonUniqueSolutionError",
     "CoopSolution",
     "coop_constraints_eval",
-    "coop_solve_closed_form",
     "coop_solve_general",
     "coop_mdrb",
     "classicalized",
@@ -92,11 +78,6 @@ _ZOOM = np.linspace(-1.0, 1.0, 33)  # a zoom level: 16 points on each side
 # and the CoopSolution.source each one maps to
 _SOURCE = {"budget1": "interior", "budget2": "interior", "fee": "cost-tight",
            "sum-mi": "balanced", "fee+sum-mi": "balanced", "none": "interior"}
-
-
-class NonUniqueSolutionError(ValueError):
-    """The linear power system is singular (beta^2*b*c = 1 or an extreme
-    weight pair); the optimal powers are not unique."""
 
 
 @dataclass
@@ -121,8 +102,6 @@ class CoopSolution:
     constraint_residuals: dict
     cooperation_valid: bool
     sum_bound_satisfied: bool
-    coop_a: float | None = None
-    coop_b: float | None = None
     source: str = "general"
     notes: dict = field(default_factory=dict)
 
@@ -468,132 +447,6 @@ def coop_solve_general(
     the solver is exactly symmetric under a user swap.
     """
     return _solve(params, [(mu1, mu2)], scan)[0]
-
-
-# ---------------------------------------------------------------------------
-# linear-system shortcut
-# ---------------------------------------------------------------------------
-
-
-def coop_solve_closed_form(params: CoopParams, mu1: float, mu2: float) -> CoopSolution:
-    """Linear-system shortcut for the all-Exp, common-beta, linear-EH case.
-
-    Solves the cleared stationarity system for (pu1, pu2), recovers
-    (p12, p21) from the budget equalities and sets rho from the
-    destination-cost equality.  Clearing the denominators of the
-    stationarity conditions makes the system degenerate (see module
-    docstring): its solution always sits at 1+b*p12 = 1+c*p21 = 0, so the
-    validity screen rejects it whenever mu1*mu2 > 0 and beta^2*b*c != 1.
-    Kept exact and faithful precisely so that the screen's verdict is
-    testable; coop_solve_general is the solver.
-    """
-    costs = (params.cost_dest, params.cost_user1, params.cost_user2)
-    if not all(isinstance(cm, ExpCost) for cm in costs):
-        raise TypeError("linear-system shortcut needs Exp costs at all nodes")
-    beta = params.cost_dest.beta
-    if any(abs(cm.beta - beta) > 1e-12 * max(beta, cm.beta) for cm in costs):
-        raise TypeError("linear-system shortcut needs a common beta")
-    if not isinstance(params.eh, LinearEh):
-        raise TypeError("linear-system shortcut needs the linear EH model")
-    _check_weights(mu1, mu2)
-
-    b, c = params.b, params.c
-    k = 1.0 - beta * beta * b * c
-    if abs(k) <= 1e-12 * max(1.0, beta * beta * b * c):
-        raise NonUniqueSolutionError(
-            "beta^2*b*c = 1: the power system is singular, solutions non-unique"
-        )
-    bud1, bud2 = params.p_u1_budget, params.p_u2_budget
-    coop_a = bud1 - beta * c * bud2
-    coop_b = bud2 - beta * b * bud1
-
-    cc = beta * b * b * c * (mu1 + mu2)
-    dd = b * c * (mu1 + mu2 * beta * beta * b * c)
-    ee = b * c * (mu2 + mu1 * beta * beta * b * c)
-    ff = beta * b * c * c * (mu1 + mu2)
-    c1 = mu1 * b * (k + c * coop_b) - mu2 * beta * b * c * (k + b * coop_a)
-    c2 = mu2 * c * (k + b * coop_a) - mu1 * beta * b * c * (k + c * coop_b)
-
-    try:
-        pu1, pu2 = solve_2x2(-cc, dd, ee, -ff, c1, c2)
-    except SingularMatrixError as err:
-        # determinant is b^2 c^2 mu1 mu2 k^2: extreme weights land here
-        raise NonUniqueSolutionError(str(err)) from err
-    p12 = (coop_a - pu1 + beta * c * pu2) / k
-    p21 = (coop_b - pu2 + beta * b * pu1) / k
-
-    arg1 = 1.0 + b * p12
-    arg2 = 1.0 + c * p21
-    degenerate = arg1 <= 1e-12 or arg2 <= 1e-12
-    r1 = 0.5 * math.log2(arg1) if arg1 > 1e-12 else 0.0
-    r2 = 0.5 * math.log2(arg2) if arg2 > 1e-12 else 0.0
-
-    s = (
-        params.h1 ** 2 * (p12 + pu1)
-        + params.h2 ** 2 * (p21 + pu2)
-        + 2.0 * params.h1 * params.h2 * math.sqrt(max(pu1, 0.0) * max(pu2, 0.0))
-    )
-    eta = params.eh.eta
-    num = beta * (b * p12 + c * p21 + b * c * p12 * p21)
-    denom = eta * (s + params.n)
-    rho = num / denom if denom > 0.0 else math.inf
-
-    def phi(r):  # the common Exp fee, also at the negative rates of the ray
-        return beta * math.expm1(2.0 * _LOG2 * r)
-
-    in_unit = 0.0 <= rho <= 1.0
-    residuals = {
-        "budget1_w": bud1 - (p12 + pu1 + phi(r2)),
-        "budget2_w": bud2 - (p21 + pu2 + phi(r1)),
-        "dest_cost_w": (
-            params.eh.eval(rho * (s + params.n)) - phi(r1 + r2)
-            if in_unit
-            else math.nan
-        ),
-        "sum_mi_bits": (
-            _snr_bound(s, params.n, params.n_p, rho) - (r1 + r2) if in_unit else math.nan
-        ),
-    }
-    valid = min(p12, p21, pu1, pu2) >= -1e-12 and 0.0 <= rho <= 1.0
-    sum_ok = (
-        not math.isnan(residuals["sum_mi_bits"])
-        and residuals["sum_mi_bits"] >= -1e-9
-    )
-    return CoopSolution(
-        alloc=PowerAllocation(p12=p12, p21=p21, pu1=pu1, pu2=pu2),
-        rho=rho,
-        r1=r1,
-        r2=r2,
-        weighted_rate=mu1 * r1 + mu2 * r2,
-        mu1=mu1,
-        mu2=mu2,
-        constraint_residuals=residuals,
-        cooperation_valid=valid,
-        sum_bound_satisfied=sum_ok,
-        coop_a=coop_a,
-        coop_b=coop_b,
-        source="closed-form",
-        notes={
-            "degenerate_log": degenerate,
-            "log_args": (arg1, arg2),
-            "system_residuals": (
-                -cc * pu1 + dd * pu2 - c1,
-                ee * pu1 - ff * pu2 - c2,
-            ),
-            # budget identities in expanded power form (exact even when the
-            # rate-based fee breaks down at nonpositive log arguments)
-            "budget_power_residuals": (
-                bud1 - (p12 + pu1 + beta * c * p21),
-                bud2 - (p21 + pu2 + beta * b * p12),
-            ),
-            "rho_consistency_w": num - eta * rho * (s + params.n)
-            if math.isfinite(rho)
-            else math.nan,
-            "coefficients": {
-                "C": cc, "D": dd, "E": ee, "F": ff, "C1": c1, "C2": c2,
-            },
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

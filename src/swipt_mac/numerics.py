@@ -1,5 +1,5 @@
-"""Numerical machinery: bracketed bisection, critical-point location on an
-array objective and a guarded 2x2 linear solve.
+"""Numerical machinery: bracketed bisection and critical-point location on
+an array objective.
 
 Everything here is generic; the physics lives in the calling modules.  The
 optimization landscape of the PS-factor problems is cheap to evaluate and
@@ -20,10 +20,8 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "EvaluationError",
-    "SingularMatrixError",
     "bisect_root",
     "critical_points",
-    "solve_2x2",
 ]
 
 
@@ -37,10 +35,6 @@ class ConvergenceError(RuntimeError):
 
 class EvaluationError(RuntimeError):
     """The objective produced NaN (or nothing finite at all)."""
-
-
-class SingularMatrixError(RuntimeError):
-    """2x2 system is singular to working precision."""
 
 
 @dataclass(frozen=True)
@@ -218,18 +212,3 @@ def _merged(runs, n):
         else:
             out.append((a, b))
     return out
-
-
-def solve_2x2(m11, m12, m21, m22, rhs1, rhs2):
-    """Cramer solution of [[m11,m12],[m21,m22]] @ (x1,x2) = (rhs1,rhs2).
-
-    Raises SingularMatrixError when |det| is below 1e-14 relative to the
-    squared max-entry norm (determinant carries squared units).
-    """
-    det = m11 * m22 - m12 * m21
-    norm = max(abs(m11), abs(m12), abs(m21), abs(m22))
-    if norm == 0.0 or abs(det) <= 1e-14 * norm * norm:
-        raise SingularMatrixError(f"2x2 system singular: det={det}, norm={norm}")
-    x1 = (rhs1 * m22 - m12 * rhs2) / det
-    x2 = (m11 * rhs2 - rhs1 * m21) / det
-    return x1, x2

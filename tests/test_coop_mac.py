@@ -1,5 +1,5 @@
-"""Cooperative MAC: weighted-sum-rate solves, the linear-system shortcut,
-constraint slacks and the weighted frontier."""
+"""Cooperative MAC: weighted-sum-rate solves, constraint slacks and the
+weighted frontier."""
 
 import contextlib
 import dataclasses
@@ -15,11 +15,9 @@ import swipt_mac as sm
 import swipt_mac.cli as cli
 import swipt_mac.coop_mac as coop_mac
 from swipt_mac.coop_mac import (
-    NonUniqueSolutionError,
     classicalized,
     coop_constraints_eval,
     coop_mdrb,
-    coop_solve_closed_form,
     coop_solve_general,
 )
 from swipt_mac.numerics import ConvergenceError, ScanConfig
@@ -27,58 +25,6 @@ from swipt_mac.numerics import ConvergenceError, ScanConfig
 from conftest import iv_coop, iv_eh
 
 FAST = ScanConfig(grid_points=31, refine_iters=12)
-
-
-def test_closed_form_type_screens():
-    params = iv_coop(0.008, 1e-3)
-    with pytest.raises(TypeError):  # mixed cost slopes
-        coop_solve_closed_form(
-            iv_coop(0.008, 1e-3, cost_user2=sm.ExpCost(2e-3)), 0.5, 0.5
-        )
-    with pytest.raises(TypeError):  # non-Exp node cost
-        coop_solve_closed_form(
-            iv_coop(0.008, 1e-3, cost_user1=sm.LinCost(1e-3)), 0.5, 0.5
-        )
-    with pytest.raises(TypeError):  # logistic EH
-        from conftest import iv_eh
-
-        coop_solve_closed_form(iv_coop(0.008, 1e-3, eh=iv_eh()), 0.5, 0.5)
-    with pytest.raises(ValueError):
-        coop_solve_general(params, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        coop_solve_general(params, 0.0, 0.0)
-
-
-def test_closed_form_singularities():
-    # beta^2*b*c = 1 exactly: beta=1, b=c=1
-    sing = iv_coop(1e-3, 1.0, eh=sm.LinearEh(1.0))
-    assert sing.b * sing.c * 1.0 == pytest.approx(1.0)
-    with pytest.raises(NonUniqueSolutionError):
-        coop_solve_closed_form(sing, 0.5, 0.5)
-    # extreme weights zero the system determinant (it scales with mu1*mu2)
-    with pytest.raises(NonUniqueSolutionError):
-        coop_solve_closed_form(iv_coop(0.008, 1e-3, eh=sm.LinearEh(1.0)), 1.0, 0.0)
-
-
-def test_closed_form_lands_on_the_degenerate_ray():
-    # the cleared stationarity system is exactly solvable but its solution
-    # always pins the log arguments at zero, so validity screening rejects
-    # it for every interior weight pair
-    for h_u, beta, mu1 in ((0.008, 1e-3, 0.5), (0.002, 1e-3, 0.3), (0.008, 1e-2, 0.7)):
-        sol = coop_solve_closed_form(
-            iv_coop(h_u, beta, eh=sm.LinearEh(1.0)), mu1, 1.0 - mu1
-        )
-        assert sol.source == "closed-form"
-        assert sol.notes["degenerate_log"]
-        a1, a2 = sol.notes["log_args"]
-        assert abs(a1) < 1e-6 and abs(a2) < 1e-6
-        assert not sol.cooperation_valid
-        # the algebra itself is exact: system and power-form budget residuals
-        s1, s2 = sol.notes["system_residuals"]
-        b1, b2 = sol.notes["budget_power_residuals"]
-        scale = max(1.0, abs(sol.alloc.pu1), abs(sol.alloc.pu2))
-        assert abs(s1) < 1e-9 * scale and abs(s2) < 1e-9 * scale
-        assert abs(b1) < 1e-9 * scale and abs(b2) < 1e-9 * scale
 
 
 def test_general_solver_meets_budget_equalities():
@@ -264,8 +210,13 @@ def test_classicalized_maps_fields():
 
 def test_mdrb_rejects_bad_input():
     params = iv_coop(0.008, 1e-3)
-    with pytest.raises(ValueError):
-        coop_mdrb(params, weights=[(-0.5, 0.5)])
+    for solve in (
+        lambda: coop_mdrb(params, weights=[(-0.5, 0.5)]),
+        lambda: coop_solve_general(params, -0.1, 0.5),
+        lambda: coop_solve_general(params, 0.0, 0.0),
+    ):
+        with pytest.raises(ValueError):
+            solve()
 
 
 def test_mdrb_metadata_carries_the_allocation():

@@ -1,4 +1,4 @@
-"""Scalar root finding, scan-and-refine maximization, tiny linear solves."""
+"""Scalar root finding and critical points of an array objective."""
 
 import math
 
@@ -16,7 +16,6 @@ from swipt_mac.numerics import (
     EvaluationError,
     RootConfig,
     ScanConfig,
-    SingularMatrixError,
 )
 
 
@@ -268,21 +267,3 @@ def test_node_runs_outside_the_grid_are_refused():
         with pytest.raises(ValueError):
             sm.critical_points(np.sin, 0.0, 1.0, ScanConfig(40), runs)
     assert sm.critical_points(np.sin, 0.0, 1.0, ScanConfig(40), []) == []
-
-
-def test_solve_2x2_matches_numpy():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        m = rng.normal(size=(2, 2))
-        if abs(np.linalg.det(m)) < 1e-3:
-            continue
-        rhs = rng.normal(size=2)
-        x1, x2 = sm.solve_2x2(m[0, 0], m[0, 1], m[1, 0], m[1, 1], rhs[0], rhs[1])
-        ref = np.linalg.solve(m, rhs)
-        assert x1 == pytest.approx(ref[0], abs=1e-10)
-        assert x2 == pytest.approx(ref[1], abs=1e-10)
-
-
-def test_solve_2x2_flags_singular_systems():
-    with pytest.raises(SingularMatrixError):
-        sm.solve_2x2(1.0, 2.0, 2.0, 4.0, 1.0, 2.0)

@@ -78,8 +78,12 @@ def test_no_module_reaches_into_the_region_core():
 def test_the_point_layer_is_gone():
     """Curves and reports hold arrays and numbers only: the point predicates
     and the per-point metadata layer are gone, from the package and from
-    the records."""
-    gone = ("simul_feasible", "sic_feasible")
+    the records.  So is the cooperative closed-form shortcut, with its
+    error, its 2x2 solve and its CoopSolution fields."""
+    gone = (
+        "simul_feasible", "sic_feasible", "coop_solve_closed_form",
+        "NonUniqueSolutionError", "solve_2x2", "SingularMatrixError",
+    )
     left = [name for name in gone if hasattr(sm, name)]
     left += [
         f"{short}.{name}"
@@ -90,6 +94,7 @@ def test_the_point_layer_is_gone():
     curve = sm.frontier(([1.0, 0.0], [0.0, 1.0], [0.2, 0.4], {}), hull=True)
     for attr in ("metadata", "intercept", "interp_r1", "max_r1", "max_r2"):
         left += [f"BoundaryCurve.{attr}" for obj in (sm.BoundaryCurve, curve) if hasattr(obj, attr)]
+    left += [f"CoopSolution.{f.name}" for f in fields(sm.CoopSolution) if f.name in ("coop_a", "coop_b")]
     report = sm.sumrate_simultaneous(iv_classical(sm.ExpCost(1e-3)))
     if hasattr(report, "candidates") or "candidates" in {f.name for f in fields(sm.SolveReport)}:
         left.append("SolveReport.candidates")
