@@ -16,6 +16,7 @@ against).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,6 +157,29 @@ def _balance_root(params, fee, what):
     return bisect_root(resid, 0.0, 1.0, _ROOT)
 
 
+def _rho_c(params: ClassicalParams) -> float:
+    """rho_c, where the harvest first covers the joint decoding fee,
+    memoized on params (an unhashable model is solved afresh): the region
+    and the sum-rate optimum both end there."""
+    try:
+        hash(params)
+        solve = _joint_root
+    except TypeError:
+        solve = _joint_root.__wrapped__
+    return solve(params)
+
+
+@functools.lru_cache(maxsize=8)
+def _joint_root(params: ClassicalParams) -> float:
+    """rho_c; equal params (p2 = 0.0 and -0.0) share one."""
+    cost = params.cost
+    if isinstance(cost, ConstCost):
+        return _balance_root(params, lambda x: cost.phi0, "joint")
+    return _balance_root(
+        params, lambda x: cost.eval(rate_bound_sum(params, x)), "sum-rate"
+    )
+
+
 def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
     """Solve the three breakpoint equations by bracketed bisection.
 
@@ -163,15 +187,15 @@ def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
     the harvested power first covers the fee.
     """
     cost = params.cost
+    rho_c = _rho_c(params)
     if isinstance(cost, ConstCost):
-        rho_c = _balance_root(params, lambda x: cost.phi0, "joint")
         return SimulBreakpoints(rho_c=rho_c, rho_1=rho_c, rho_2=rho_c)
 
     def fee(bound):
         return lambda x: cost.eval(bound(params, x))
 
     return SimulBreakpoints(
-        rho_c=_balance_root(params, fee(rate_bound_sum), "sum-rate"),
+        rho_c=rho_c,
         rho_1=_balance_root(params, fee(rate_bound_user2), "second-user"),
         rho_2=_balance_root(params, fee(rate_bound_user1), "first-user"),
     )
@@ -261,7 +285,7 @@ def sumrate_simultaneous(
     eh, cost, a = params.eh, params.cost, params.a
 
     if isinstance(cost, ConstCost):
-        rho = _balance_root(params, lambda x: cost.phi0, "joint")
+        rho = _rho_c(params)
         sum_rate = rate_bound_sum(params, rho, drop_denominator_noise)
         return SolveReport(
             rho_opt=rho,
@@ -273,7 +297,10 @@ def sumrate_simultaneous(
     def bound(rho):
         return rate_bound_sum(params, rho, drop_denominator_noise)
 
-    rho = _balance_root(params, lambda x: cost.eval(bound(x)), "sum-rate")
+    if drop_denominator_noise:
+        rho = _balance_root(params, lambda x: cost.eval(bound(x)), "sum-rate")
+    else:
+        rho = _rho_c(params)
     sum_rate = bound(rho)
     upper = cost.inverse(eh.eval(a))
     if sum_rate > upper + 1e-9:  # pragma: no cover - structural guarantee

@@ -334,3 +334,32 @@ def test_slacks_reject_a_point_outside_the_domain(r1, r2, rho, monkeypatch):
     for order in sm.DecodingOrder:
         with pytest.raises(sm.ModelDomainError):
             sm.sic_slacks(params, r1, r2, rho, order)
+
+
+# ---------------------------------------------------------------------------
+# the rho_c memo
+# ---------------------------------------------------------------------------
+
+
+def _solves(params):
+    """Everything a channel's rho_c feeds, as one repr."""
+    return repr([
+        simul_breakpoints(params),
+        sm.sumrate_simultaneous(params),
+        sm.sumrate_simultaneous(params, drop_denominator_noise=True),
+        sm.mdrb_simultaneous(params, n_points=64),
+    ])
+
+
+@pytest.mark.parametrize("cost", [sm.ExpCost(1e-3), sm.LogCost(1e-3), sm.ConstCost(0.013)])
+def test_warm_rho_c_equals_a_cold_one(cost, monkeypatch):
+    params = iv_classical(cost, p1=0.7, p2=0.3)
+    with monkeypatch.context() as m:  # every solve from scratch
+        m.setattr(cs, "_joint_root", cs._joint_root.__wrapped__)
+        fresh = _solves(params)
+    cs._joint_root.cache_clear()
+    cold = _solves(params)
+    hits = cs._joint_root.cache_info().hits
+    warm = _solves(params)
+    assert cs._joint_root.cache_info().hits > hits
+    assert warm == cold == fresh

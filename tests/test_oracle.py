@@ -1,15 +1,22 @@
 """Grid oracles: independent brute-force references for every optimizer."""
 
+import math
+import time
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import swipt_mac as sm
 from swipt_mac.classical_sic import sic_sumrate_numeric
 from swipt_mac.coop_mac import classicalized, coop_constraints_eval, coop_solve_general
+from swipt_mac.models import EhModel
 from swipt_mac.numerics import ScanConfig
-from swipt_mac.oracle import _rho_points
+from swipt_mac.oracle import _BLOCK, _rho_grid, _rho_points
 
-from conftest import iv_classical, iv_coop
+from conftest import classical_draws, iv_classical, iv_coop, iv_eh
 
 COARSE = 1e-3  # rho pitch for quick cross-checks (bound scales with pitch)
 
@@ -209,3 +216,161 @@ def test_every_solver_stays_under_the_fee_ceiling(coop):
         sums[f"coop_solve_general mu1={mu1}"] = (sol.r1 + sol.r2, joint)
     for name, (total, ceiling) in sums.items():
         assert total <= ceiling, name
+
+
+# ---------------------------------------------------------------------------
+# the blocked rho grids against today's whole-grid evaluation
+# ---------------------------------------------------------------------------
+
+
+def _whole_grid_simul(params, rho_step):
+    """oracle_simul_sumrate with every array the size of the grid."""
+    rho, pitch = _rho_grid(rho_step)
+    y = 1.0 - rho
+    a, n, n_p = params.a, params.n, params.n_p
+    bound = 0.5 * np.log2(1.0 + y * (a - n) / (y * n + n_p))
+    psi = params.eh.eval(rho * a)
+    sums = params.cost.rate_cap(psi, bound)
+    i = int(np.argmax(sums))
+    return sm.SolveReport(
+        rho_opt=float(rho[i]),
+        sum_rate=float(sums[i]),
+        residuals={},
+        bound=float(bound[i]),
+        notes={"rho_step": pitch, "grid_points": rho.size},
+    )
+
+
+def _whole_grid_sic(params, rho_step):
+    """oracle_sic_sumrate with every array the size of the grid."""
+    rho, pitch = _rho_grid(rho_step)
+    y = 1.0 - rho
+    n, n_p = params.n, params.n_p
+    cost = params.cost
+    psi = params.eh.eval(rho * params.a)
+    neg = -np.inf * np.ones_like(rho)
+
+    best_val, best_rho, best_tag = -math.inf, 0.0, ""
+    s1, s2 = params.h1_sq * params.p1, params.h2_sq * params.p2
+    for tag, first, second in (("user1_first", s1, s2), ("user2_first", s2, s1)):
+        b_first = 0.5 * np.log2(1.0 + y * first / (y * (second + n) + n_p))
+        b_second = 0.5 * np.log2(1.0 + y * second / (y * n + n_p))
+        phi_f = cost.eval(b_first)
+        phi_s = cost.eval(b_second)
+        cands = {
+            "corner": np.where(phi_f + phi_s <= psi, b_first + b_second, neg),
+            "pin-second": np.where(
+                psi >= phi_s, b_second + cost.rate_cap(psi - phi_s, b_first), neg
+            ),
+            "pin-first": np.where(
+                psi >= phi_f, b_first + cost.rate_cap(psi - phi_f, b_second), neg
+            ),
+            "symmetric": 2.0 * cost.rate_cap(psi / 2.0, np.minimum(b_first, b_second)),
+        }
+        if isinstance(cost, sm.ConstCost):
+            del cands["symmetric"]
+        for label, vals in cands.items():
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val = float(vals[i])
+                best_rho = float(rho[i])
+                best_tag = f"{tag}:{label}"
+    return sm.SolveReport(
+        rho_opt=best_rho,
+        sum_rate=best_val,
+        residuals={},
+        notes={"rho_step": pitch, "grid_points": rho.size, "branch": best_tag},
+    )
+
+
+def _assert_blocked_equals_whole(params, rho_step):
+    assert repr(sm.oracle_simul_sumrate(params, rho_step)) == repr(
+        _whole_grid_simul(params, rho_step)
+    )
+    assert repr(sm.oracle_sic_sumrate(params, rho_step)) == repr(
+        _whole_grid_sic(params, rho_step)
+    )
+
+
+_FEES = (sm.ExpCost(1e-3), sm.LogCost(1e-3), sm.LinCost(1e-3), sm.ConstCost(0.013))
+
+
+def _every_family_and_harvester(test):
+    for cost in _FEES:
+        for eh in (iv_eh(), sm.LinearEh(0.6)):
+            test = example(iv_classical(cost, eh=eh, p1=0.7, p2=0.3))(test)
+    return test
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(classical_draws())
+@_every_family_and_harvester
+def test_blocked_oracles_equal_the_whole_grid_on_drawn_channels(params):
+    _assert_blocked_equals_whole(params, 1e-4)  # 10001 points: two blocks
+
+
+@pytest.mark.parametrize("cost", _FEES, ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize(
+    "points", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10001, 100001],
+    ids=["2", "block-1", "block", "block+1", "1e-4", "1e-5"],
+)
+def test_blocked_oracles_equal_the_whole_grid_at_every_block_edge(cost, points):
+    rho_step = 1.0 / (points - 1)
+    assert _rho_points(rho_step) == points
+    _assert_blocked_equals_whole(iv_classical(cost, p1=0.7, p2=0.3), rho_step)
+
+
+def test_a_plateau_across_a_block_edge_keeps_its_first_point():
+    # bounds this weak round to a few float levels, so the indicator fee's
+    # best sum holds on past the threshold and over block edges
+    base = iv_classical(sm.ConstCost(0.0), h1_sq=1e-18, h2_sq=1e-18, p1=1.0,
+                        p2=1.0, eh=sm.LinearEh(1.0))
+    params = iv_classical(sm.ConstCost(0.07 * base.a), h1_sq=1e-18, h2_sq=1e-18,
+                          p1=1.0, p2=1.0, eh=sm.LinearEh(1.0))
+    rho, _ = _rho_grid(1e-5)
+    y = 1.0 - rho
+    bound = 0.5 * np.log2(1.0 + y * (params.a - params.n) / (y * params.n + params.n_p))
+    sums = params.cost.rate_cap(params.eh.eval(rho * params.a), bound)
+    top = np.flatnonzero(sums == sums.max())
+    assert top[0] < _BLOCK < 2 * _BLOCK <= top[-1]
+    _assert_blocked_equals_whole(params, 1e-5)
+    sic = sm.oracle_sic_sumrate(params, 1e-5)
+    assert _BLOCK < sic.rho_opt / 1e-5 < 2 * _BLOCK  # the first of its plateau
+
+
+@dataclass(frozen=True)
+class _HoledEh(EhModel):
+    """A linear harvester that returns NaN on (lo, hi) W of input."""
+
+    eta: float
+    lo: float
+    hi: float
+
+    def _f(self, p, xp):
+        return xp.where((p > self.lo) & (p < self.hi), math.nan, self.eta * p)
+
+
+@pytest.mark.parametrize("cost", _FEES, ids=lambda c: type(c).__name__)
+def test_a_nan_in_a_later_block_is_merged_as_argmax_takes_it(cost):
+    a = iv_classical(cost).a
+    # NaN harvest on rho in (0.5, 0.6), from the seventh block of 1e-5's grid
+    holed = iv_classical(cost, p1=0.7, p2=0.3, eh=_HoledEh(0.6, 0.5 * a, 0.6 * a))
+    _assert_blocked_equals_whole(holed, 1e-5)
+    if not isinstance(cost, sm.ConstCost):  # the fee test reads NaN as affordable
+        assert math.isnan(sm.oracle_simul_sumrate(holed, 1e-5).sum_rate)
+
+
+def test_classical_oracles_hold_one_block_beside_their_grid():
+    params = iv_classical(sm.ExpCost(1e-3), p1=0.7, p2=0.3)
+    grid_bytes = _rho_points(1e-6) * 8  # 1,000,001 points, 7.6 MiB
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for oracle in (sm.oracle_simul_sumrate, sm.oracle_sic_sumrate):
+            tracemalloc.reset_peak()
+            oracle(params, rho_step=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= grid_bytes + 2 * 2 ** 20, (oracle.__name__, peak)
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
