@@ -32,9 +32,9 @@ from .numerics import ScanConfig, critical_points
 from .classical_simul import (
     _SWEEPS,
     InfeasibleRegionError,
-    _balance_root,
     _check_n_points,
     _check_point,
+    _root,
     _snr_bound,
 )
 from .region import BoundaryCurve, frontier
@@ -116,12 +116,18 @@ def sic_rate_bounds(params: ClassicalParams, rho, order: DecodingOrder):
     return _bound(params, rho, order, True), _bound(params, rho, order, False)
 
 
-def _bound(params, rho, order, user1):
-    """User 1's (user1 true) or user 2's rate bound at rho in the order."""
+def _stream(params, order, user1):
+    """(signal, noise) of user 1's (user1 true) or user 2's decoded stream
+    in the order: the first-decoded message sees the other as noise."""
     s1, s2 = params.h1_sq * params.p1, params.h2_sq * params.p2
     own, other = (s1, s2) if user1 else (s2, s1)
     first = (order == DecodingOrder.USER1_FIRST) == user1
-    return _snr_bound(own, other + params.n if first else params.n, params.n_p, rho)
+    return own, other + params.n if first else params.n
+
+
+def _bound(params, rho, order, user1):
+    """User 1's (user1 true) or user 2's rate bound at rho in the order."""
+    return _snr_bound(*_stream(params, order, user1), params.n_p, rho)
 
 
 def sic_slacks(params: ClassicalParams, r1, r2, rho, order: DecodingOrder) -> dict:
@@ -148,27 +154,21 @@ def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpo
 
 @functools.lru_cache(maxsize=8)
 def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
-    """(rho_c, rho_1, rho_2); equal params (p2 = 0.0 and -0.0) share one."""
-    cost = params.cost
-    if isinstance(cost, ConstCost):
-        single = _balance_root(params, lambda x: cost.phi0, "single")
+    """(rho_c, rho_1, rho_2); equal params (p2 = 0.0 and -0.0) share one.
+    Each is a shared balance root: user 2's clean stream is also simul's
+    rho_1, user 1's its rho_2, and ConstCost's single fee its rho_c."""
+    if isinstance(params.cost, ConstCost):
+        single = _root(params, 1, "single")
         try:
-            both = _balance_root(params, lambda x: 2.0 * cost.phi0, "double")
+            both = _root(params, 2, "double")
         except InfeasibleRegionError:
             both = math.nan  # double fee never affordable
         return both, single, single
-
-    def both(x):
-        b1, b2 = sic_rate_bounds(params, x, order)
-        return cost.eval(b1) + cost.eval(b2)
-
-    def one(user1):  # the fee of user 1's (user1 true) or user 2's message
-        return lambda x: cost.eval(_bound(params, x, order, user1))
-
+    user1, user2 = _stream(params, order, True), _stream(params, order, False)
     return (
-        _balance_root(params, both, "two-message"),
-        _balance_root(params, one(False), "second-message"),
-        _balance_root(params, one(True), "first-message"),
+        _root(params, (user1, user2), "two-message"),
+        _root(params, (user2,), "second-message"),
+        _root(params, (user1,), "first-message"),
     )
 
 
@@ -177,13 +177,21 @@ def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(params, order, pin_user1, rho):
+def _streams(params, order, pin_user1):
+    """(signal, noise) of the pinned user's stream, then of the other
+    user's, on one sweep of one decoding order."""
+    return (*_stream(params, order, pin_user1), *_stream(params, order, not pin_user1))
+
+
+def _sweep(params, streams, rho):
     """(pinned user's bound, harvest left after its message's fee, other
-    user's bound) at rho on one sweep of one decoding order; a float rho
-    stays on the scalar path."""
-    b1, b2 = sic_rate_bounds(params, rho, order)
-    pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
-    return pinned, params.eh.eval(rho * params.a) - params.cost.eval(pinned), cap
+    user's bound) at rho on the sweep of streams (see _streams): floats
+    for one sweep, where a float rho stays on the scalar path, or arrays
+    gathered per node for a batch of sweeps."""
+    ps, pn, cs, cn = streams
+    pinned = _snr_bound(ps, pn, params.n_p, rho)
+    left = params.eh.eval(rho * params.a) - params.cost.eval(pinned)
+    return pinned, left, _snr_bound(cs, cn, params.n_p, rho)
 
 
 def _order_segments(params, order, n_points):
@@ -203,7 +211,7 @@ def _order_segments(params, order, n_points):
     parts = []
     for pin_user1, segment, start in _SWEEPS:
         rho = np.linspace(getattr(bp, start), bp.rho_c, n_points)
-        pinned, left, cap = _sweep(params, order, pin_user1, rho)
+        pinned, left, cap = _sweep(params, _streams(params, order, pin_user1), rho)
         other = params.cost.rate_cap(left, cap)
         r1, r2 = (pinned, other) if pin_user1 else (other, pinned)
         parts.append((r1, r2, rho, {"order": tag, "segment": segment}))
@@ -272,55 +280,64 @@ def _sum_rate(params, pinned, left, cap):
     return np.where(left < 0.0, -np.inf, pinned + params.cost.rate_cap(left, cap))
 
 
-def _objective(params, order, pin_user1):
-    """One sweep's r1 + r2 as a function of rho (floats or arrays)."""
+def _objective(params, streams):
+    """The r1 + r2 of the sweeps of streams (see _sweep) as a function of
+    rho (floats or arrays)."""
 
     def f(rho, floor=-np.inf):
         """The objective at rho, with the harvest left after the pinned
         message raised to floor where that is higher."""
-        pinned, left, cap = _sweep(params, order, pin_user1, rho)
+        pinned, left, cap = _sweep(params, streams, rho)
         return _sum_rate(params, pinned, np.maximum(left, floor), cap)
 
     return f
 
 
-def _nodes(params, sweep, n, k):
-    """(k, pinned, left, cap, objective) at the nodes k of one sweep's
-    n-step grid."""
-    order, _, pin_user1, lo, hi = sweep
-    pinned, left, cap = _sweep(params, order, pin_user1, lo + (hi - lo) / n * k)
-    return k, pinned, left, cap, _sum_rate(params, pinned, left, cap)
+def _nodes(params, table, sid, k):
+    """(sid, k, pinned, left, cap, objective) at the nodes k of the n-step
+    grids of the sweeps sid; table is (lo, (hi - lo) / n, streams) by
+    sweep."""
+    lo, step, streams = table
+    rho = lo[sid] + step[sid] * k
+    pinned, left, cap = _sweep(params, tuple(s[sid] for s in streams), rho)
+    return sid, k, pinned, left, cap, _sum_rate(params, pinned, left, cap)
 
 
 def _cell_bounds(params, nodes):
     """Upper bound, raised by _SLACK of itself, of the objective on each
-    cell between consecutive nodes: pinned and cap fall in rho and left
+    cell between consecutive nodes of one sweep, and which pairs of
+    consecutive nodes are such cells: pinned and cap fall in rho and left
     rises, so on [x, y] the objective is at most
     pinned(x) + rate_cap(left(y), cap(x))."""
-    _, pinned, left, cap, _ = nodes
+    sid, _, pinned, left, cap, _ = nodes
     bound = pinned[:-1] + params.cost.rate_cap(left[1:], cap[:-1])
-    return bound + _SLACK * np.abs(bound)
+    return bound + _SLACK * np.abs(bound), sid[1:] == sid[:-1]
 
 
-def _refined(params, sweep, n, nodes, live, stride):
-    """nodes with every live cell cut at each stride-th grid node inside it."""
-    k = nodes[0]
+def _refined(params, table, nodes, live, stride):
+    """nodes with every live cell cut at each stride-th grid node inside
+    it, still sorted by (sweep, node)."""
+    sid, k = nodes[:2]
     first, last = k[:-1][live], k[1:][live]
     new = first[:, None] + np.arange(stride, int(np.max(last - first, initial=0)), stride)
-    new = new[new < last[:, None]]
-    if not new.size:
+    inside = new < last[:, None]
+    if not inside.any():
         return nodes
-    order = np.argsort(np.concatenate([k, new]))
-    return tuple(np.concatenate([old, add])[order]
-                 for old, add in zip(nodes, _nodes(params, sweep, n, new)))
+    cut = np.broadcast_to(sid[:-1][live][:, None], new.shape)[inside]
+    add = _nodes(params, table, cut, new[inside])
+    order = np.lexsort((np.concatenate([k, add[1]]), np.concatenate([sid, cut])))
+    return tuple(np.concatenate([old, more])[order] for old, more in zip(nodes, add))
 
 
-def _live_runs(k, live, n):
-    """Node runs (first, last) of consecutive live cells, _PAD nodes wider
-    on either side."""
+def _live_runs(nodes, live, n, count):
+    """Each of count sweeps' node runs (first, last) of consecutive live
+    cells, _PAD nodes wider on either side."""
+    sid, k = nodes[:2]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], live.astype(np.int8), [0]))))
-    return [(max(int(k[a]) - _PAD, 0), min(int(k[b]) + _PAD, n))
-            for a, b in zip(edges[::2], edges[1::2])]
+    runs = [[] for _ in range(count)]
+    for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        runs[sid[a]].append((max(int(k[a]) - _PAD, 0), min(int(k[b]) + _PAD, n)))
+    return runs
 
 
 def _sweep_candidates(params, sweeps):
@@ -333,37 +350,50 @@ def _sweep_candidates(params, sweeps):
     best end or node value of any sweep so far is cut at every stride-th
     grid node.  Skipping the cells whose bounds stay below it drops only
     candidates below that value; unless the winner then beats every
-    skipped cell's bound, every sweep's whole grid is scanned.
+    skipped cell's bound, every sweep's whole grid is scanned.  Each stage
+    evaluates all sweeps at once, on one node array sorted by (sweep,
+    node), with each sweep's constants gathered by its index.
     """
     n = ScanConfig().grid_points  # critical_points' default grid
-    fs = [_objective(params, order, pin) for order, _, pin, _, _ in sweeps]
+    count = len(sweeps)
+    each = [_streams(params, order, pin) for order, _, pin, _, _ in sweeps]
+    streams = [np.array(column) for column in zip(*each)]
+    lo, hi = (np.array([sweep[i] for sweep in sweeps]) for i in (3, 4))
+    table = lo, (hi - lo) / n, streams
+    twice = np.repeat(np.arange(count), 2)
+
+    def values(sid, rho, floor):
+        return _objective(params, [s[sid] for s in streams])(rho, floor)
+
     # the ends are bisected balance points, where the harvest just pays the
     # pinned message: score them at that limit, since roundoff leaves them
     # short of it about half the time
-    ends = [f(np.array([lo, hi]), 0.0) for f, (*_, lo, hi) in zip(fs, sweeps)]
-    grids = [_nodes(params, sweep, n, np.array([0, n])) for sweep in sweeps]
+    ends = values(twice, np.stack([lo, hi], 1).ravel(), 0.0)
+    nodes = _nodes(params, table, twice, np.tile([0, n], count))
     for stride in _STRIDES:
-        best = np.max(np.concatenate(ends + [value for *_, value in grids]))
-        grids = [_refined(params, sweep, n, g, ~(_cell_bounds(params, g) < best), stride)
-                 for sweep, g in zip(sweeps, grids)]
-    best = np.max(np.concatenate(ends + [value for *_, value in grids]))
-    bounds = [_cell_bounds(params, g) for g in grids]
-    skip = [b < best for b in bounds]
+        best = np.max(np.concatenate([ends, nodes[-1]]))
+        bound, cell = _cell_bounds(params, nodes)
+        nodes = _refined(params, table, nodes, cell & ~(bound < best), stride)
+    best = np.max(np.concatenate([ends, nodes[-1]]))
+    bound, cell = _cell_bounds(params, nodes)
+    skip = cell & (bound < best)
 
     def scan(runs):
-        out = []
-        for (order, segment, pin, lo, hi), f, run in zip(sweeps, fs, runs):
-            rhos = [lo, hi] + (critical_points(f, lo, hi, runs=run) if hi > lo else [])
-            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
-            out += [(float(rho), float(val), order, segment, pin)
-                    for rho, val in zip(rhos, f(np.array(rhos), floor))]
-        return out
+        rhos = [[a, b] + (critical_points(_objective(params, st), a, b, runs=run) if b > a else [])
+                for (*_, a, b), st, run in zip(sweeps, each, runs)]
+        sizes = [len(r) for r in rhos]
+        sid, rho = np.repeat(np.arange(count), sizes), np.concatenate(rhos)
+        floor = np.full(rho.size, -np.inf)  # the ends at their limit, as above
+        first = np.cumsum([0] + sizes[:-1])
+        floor[first] = floor[first + 1] = 0.0
+        return [(r, v, *sweeps[i][:3])
+                for i, r, v in zip(sid.tolist(), rho.tolist(), values(sid, rho, floor).tolist())]
 
-    candidates = scan([_live_runs(k, ~s, n) for (k, *_), s in zip(grids, skip)])
+    candidates = scan(_live_runs(nodes, cell & ~skip, n, count))
     winner = max(c[1] for c in candidates)
-    if all(np.all(b[s] < winner) for b, s in zip(bounds, skip)):
+    if np.all(bound[skip] < winner):
         return candidates
-    return scan([None] * len(sweeps))
+    return scan([None] * count)
 
 
 def sic_sumrate_numeric(params: ClassicalParams) -> SolveReport:

@@ -139,45 +139,71 @@ def simul_slacks(params: ClassicalParams, r1, r2, rho) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _balance_root(params, fee, what):
+def _balance_root(params, fee):
     """Smallest rho in [0, 1] whose harvest psi(rho*a) covers fee(rho), a
     non-increasing decoding fee in W: the root of the non-decreasing
-    psi(rho*a) - fee(rho), by bisection."""
+    psi(rho*a) - fee(rho), by bisection; NaN when not even rho = 1 does."""
     eh, a = params.eh, params.a
 
-    def resid(x):
-        return eh.eval(x * a) - fee(x)
+    def resid(x):  # x*a >= 0, so psi skips eval's domain check
+        return eh._scalar_kernel(x * a) - fee(x)
 
     if resid(0.0) >= 0.0:  # free decoding at rho=0 already covers the fee
         return 0.0
     if resid(1.0) < 0.0:
-        raise InfeasibleRegionError(
-            f"harvest cannot cover the {what} decoding cost at any PS factor"
-        )
+        return math.nan
     return bisect_root(resid, 0.0, 1.0, _ROOT)
 
 
-def _rho_c(params: ClassicalParams) -> float:
-    """rho_c, where the harvest first covers the joint decoding fee,
-    memoized on params (an unhashable model is solved afresh): the region
-    and the sum-rate optimum both end there."""
+def _fee(params, streams):
+    """The fee of decoding streams at rho: phi of the _snr_bound of each
+    (signal, noise) pair, summed; for ConstCost streams is the number of
+    messages, each charged phi0 whatever its rate."""
+    cost, n_p = params.cost, params.n_p
+    if isinstance(cost, ConstCost):
+        fee = streams * cost.phi0
+        return lambda x: fee
+    phi = cost._scalar_kernel  # a rate bound is >= 0
+    if len(streams) == 1:
+        ((s, m),) = streams
+        return lambda x: phi(_snr_bound(s, m, n_p, x))
+    (s1, m1), (s2, m2) = streams
+    return lambda x: phi(_snr_bound(s1, m1, n_p, x)) + phi(_snr_bound(s2, m2, n_p, x))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_root(params, streams):
+    """_balance_root of _fee(params, streams), memoized: a key fixes every
+    float operation of its residual, so both schemes and both SIC orders
+    share each root they have in common (equal params, p2 = 0.0 and -0.0,
+    share one)."""
+    return _balance_root(params, _fee(params, streams))
+
+
+def _root(params, streams, what):
+    """The balance root of the fee of streams (see _fee), solved once per
+    (params, streams) (an unhashable model is solved afresh); raises
+    InfeasibleRegionError naming the what decoding cost when the harvest
+    never covers it."""
     try:
         hash(params)
-        solve = _joint_root
+        solve = _shared_root
     except TypeError:
-        solve = _joint_root.__wrapped__
-    return solve(params)
+        solve = _shared_root.__wrapped__
+    rho = solve(params, streams)
+    if math.isnan(rho):
+        raise InfeasibleRegionError(
+            f"harvest cannot cover the {what} decoding cost at any PS factor"
+        )
+    return rho
 
 
-@functools.lru_cache(maxsize=8)
-def _joint_root(params: ClassicalParams) -> float:
-    """rho_c; equal params (p2 = 0.0 and -0.0) share one."""
-    cost = params.cost
-    if isinstance(cost, ConstCost):
-        return _balance_root(params, lambda x: cost.phi0, "joint")
-    return _balance_root(
-        params, lambda x: cost.eval(rate_bound_sum(params, x)), "sum-rate"
-    )
+def _rho_c(params: ClassicalParams) -> float:
+    """rho_c, where the harvest first covers the joint decoding fee: the
+    region and the sum-rate optimum both end there."""
+    if isinstance(params.cost, ConstCost):
+        return _root(params, 1, "joint")
+    return _root(params, ((params.a - params.n, params.n),), "sum-rate")
 
 
 def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
@@ -186,18 +212,14 @@ def simul_breakpoints(params: ClassicalParams) -> SimulBreakpoints:
     For the constant family all three collapse onto the one threshold where
     the harvested power first covers the fee.
     """
-    cost = params.cost
     rho_c = _rho_c(params)
-    if isinstance(cost, ConstCost):
+    if isinstance(params.cost, ConstCost):
         return SimulBreakpoints(rho_c=rho_c, rho_1=rho_c, rho_2=rho_c)
-
-    def fee(bound):
-        return lambda x: cost.eval(bound(params, x))
-
+    n = params.n
     return SimulBreakpoints(
         rho_c=rho_c,
-        rho_1=_balance_root(params, fee(rate_bound_user2), "second-user"),
-        rho_2=_balance_root(params, fee(rate_bound_user1), "first-user"),
+        rho_1=_root(params, ((params.h2_sq * params.p2, n),), "second-user"),
+        rho_2=_root(params, ((params.h1_sq * params.p1, n),), "first-user"),
     )
 
 
@@ -294,14 +316,11 @@ def sumrate_simultaneous(
             notes={"cost_family": "const"},
         )
 
-    def bound(rho):
-        return rate_bound_sum(params, rho, drop_denominator_noise)
-
     if drop_denominator_noise:
-        rho = _balance_root(params, lambda x: cost.eval(bound(x)), "sum-rate")
+        rho = _root(params, ((a - params.n, 0.0),), "sum-rate")
     else:
         rho = _rho_c(params)
-    sum_rate = bound(rho)
+    sum_rate = rate_bound_sum(params, rho, drop_denominator_noise)
     upper = cost.inverse(eh.eval(a))
     if sum_rate > upper + 1e-9:  # pragma: no cover - structural guarantee
         raise RuntimeError("sum rate exceeded its harvest ceiling")

@@ -188,7 +188,8 @@ class _Family:
     eval checks its input and evaluates a Python number with _Scalar, any
     other input as a float array with _Array.  kernel is the unchecked
     array evaluation, for callers whose input is a float ndarray that is
-    non-negative by construction.
+    non-negative by construction, and _scalar_kernel its twin on one such
+    Python float.
     """
 
     _what = "input"  # the input's name in a domain error
@@ -213,6 +214,9 @@ class _Family:
 
     def kernel(self, x):
         return self._f(x, _Array)
+
+    def _scalar_kernel(self, x):
+        return self._f(x, _Scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -136,20 +136,22 @@ def _survivors(r1, r2, rho, hull):
         order = order[keep]
     if hull:
         # monotone chain; a point leaves only when it lies strictly below
-        # the chord of its neighbours, so collinear points survive; (x0, y0)
-        # and (x1, y1) are the chain's top two vertices
-        xs, ys, ks, x1, y1 = [], [], [], None, None
-        for k, x, y in zip(order.tolist(), r2[order].tolist(), r1[order].tolist()):
-            while len(ks) >= 2 and (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
-                del xs[-1], ys[-1], ks[-1]
+        # the chord of its neighbours, so collinear points survive; the
+        # chain is stack[:m], positions in xs/ys, and (x0, y0) and (x1, y1)
+        # are its top two vertices
+        xs, ys = r2[order].tolist(), r1[order].tolist()
+        stack, m, x0, y0, x1, y1 = [0] * len(xs), 0, 0.0, 0.0, 0.0, 0.0
+        for j, x, y in zip(range(len(xs)), xs, ys):
+            while m >= 2 and (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
+                m -= 1
                 x1, y1 = x0, y0
-                if len(ks) >= 2:
-                    x0, y0 = xs[-2], ys[-2]
-            xs.append(x)
-            ys.append(y)
-            ks.append(k)
+                if m >= 2:
+                    i = stack[m - 2]
+                    x0, y0 = xs[i], ys[i]
+            stack[m] = j
+            m += 1
             x0, y0, x1, y1 = x1, y1, x, y
-        order = np.array(ks, dtype=int)
+        order = order[stack[:m]]
     # r1 never rises with r2: drop every point a later one beats in r1,
     # which also absorbs roundoff-scale ascents (flat runs stay)
     s1 = r1[order]

@@ -1,6 +1,10 @@
 """Successive-cancellation region and sum rate, numeric and closed form."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from hypothesis import strategies as st
 
 import swipt_mac as sm
 import swipt_mac.classical_sic as sic
+import swipt_mac.classical_simul as cs
 from swipt_mac.classical_simul import (
+    _SWEEPS,
     _balance_root,
     simul_breakpoints,
     simul_closed_form,
@@ -25,7 +31,7 @@ from swipt_mac.classical_sic import (
     sic_sumrate_numeric,
 )
 from swipt_mac.cli import PRESETS, ingest_config
-from swipt_mac.numerics import ScanConfig, critical_points
+from swipt_mac.numerics import RootConfig, ScanConfig, bisect_root, critical_points
 from swipt_mac.region import BoundaryCurve, frontier
 
 from conftest import check_slack_parity, classical_draws, fee_cap, iv_classical, iv_eh, nudge
@@ -286,6 +292,7 @@ def test_warm_breakpoints_equal_cold_ones(cost, monkeypatch):
     params = iv_classical(cost, p1=0.7, p2=0.3)
     with monkeypatch.context() as m:  # every solve from scratch
         m.setattr(sic, "_breakpoints", sic._breakpoints.__wrapped__)
+        m.setattr(cs, "_shared_root", cs._shared_root.__wrapped__)
         fresh = _solves(params)
     sic._breakpoints.cache_clear()
     cold = _solves(params)
@@ -547,9 +554,9 @@ def _ref_breakpoints(params, order):
         return f
 
     return (
-        _balance_root(params, fee(0, 1), "two-message"),
-        _balance_root(params, fee(1), "second-message"),
-        _balance_root(params, fee(0), "first-message"),
+        _balance_root(params, fee(0, 1)),
+        _balance_root(params, fee(1)),
+        _balance_root(params, fee(0)),
     )
 
 
@@ -600,10 +607,10 @@ def _scan_log(monkeypatch):
     log = {"nodes": 0, "runs": [], "roots": []}
     sweep, scan = sic._sweep, sic.critical_points
 
-    def counted_sweep(params, order, pin_user1, rho):
+    def counted_sweep(params, streams, rho):
         if isinstance(rho, np.ndarray):
             log["nodes"] += rho.size
-        return sweep(params, order, pin_user1, rho)
+        return sweep(params, streams, rho)
 
     def logged_scan(f, lo, hi, runs=None):
         log["runs"].append(runs)
@@ -689,6 +696,259 @@ def test_the_scan_evaluates_a_tenth_of_the_grid(monkeypatch):
         assert nodes_of(_PRESETS[name]) <= 0.1 * whole, name
     draws = _smooth_draws(20)
     assert sum(nodes_of(p) for p in draws) <= 0.1 * whole * len(draws)
+
+
+# ---------------------------------------------------------------------------
+# the batched scan: every stage of all four sweeps at once, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _ref_sweep(params, order, pin_user1, rho):
+    """The per-sweep scan's _sweep: both bounds through sic_rate_bounds."""
+    b1, b2 = sic_rate_bounds(params, rho, order)
+    pinned, cap = (b1, b2) if pin_user1 else (b2, b1)
+    return pinned, params.eh.eval(rho * params.a) - params.cost.eval(pinned), cap
+
+
+def _ref_sum_rate(params, pinned, left, cap):
+    return np.where(left < 0.0, -np.inf, pinned + params.cost.rate_cap(left, cap))
+
+
+def _ref_objective(params, order, pin_user1):
+    def f(rho, floor=-np.inf):
+        pinned, left, cap = _ref_sweep(params, order, pin_user1, rho)
+        return _ref_sum_rate(params, pinned, np.maximum(left, floor), cap)
+
+    return f
+
+
+def _ref_nodes(params, sweep, n, k):
+    order, _, pin_user1, lo, hi = sweep
+    pinned, left, cap = _ref_sweep(params, order, pin_user1, lo + (hi - lo) / n * k)
+    return k, pinned, left, cap, _ref_sum_rate(params, pinned, left, cap)
+
+
+def _ref_cell_bounds(params, nodes):
+    _, pinned, left, cap, _ = nodes
+    bound = pinned[:-1] + params.cost.rate_cap(left[1:], cap[:-1])
+    return bound + sic._SLACK * np.abs(bound)
+
+
+def _ref_refined(params, sweep, n, nodes, live, stride):
+    k = nodes[0]
+    first, last = k[:-1][live], k[1:][live]
+    new = first[:, None] + np.arange(stride, int(np.max(last - first, initial=0)), stride)
+    new = new[new < last[:, None]]
+    if not new.size:
+        return nodes
+    order = np.argsort(np.concatenate([k, new]))
+    return tuple(np.concatenate([old, add])[order]
+                 for old, add in zip(nodes, _ref_nodes(params, sweep, n, new)))
+
+
+def _ref_live_runs(k, live, n):
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], live.astype(np.int8), [0]))))
+    return [(max(int(k[a]) - sic._PAD, 0), min(int(k[b]) + sic._PAD, n))
+            for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _ref_sweep_candidates(params, sweeps):
+    """The per-sweep _sweep_candidates: each stage evaluated sweep by sweep."""
+    n = ScanConfig().grid_points
+    fs = [_ref_objective(params, order, pin) for order, _, pin, _, _ in sweeps]
+    ends = [f(np.array([lo, hi]), 0.0) for f, (*_, lo, hi) in zip(fs, sweeps)]
+    grids = [_ref_nodes(params, sweep, n, np.array([0, n])) for sweep in sweeps]
+    for stride in sic._STRIDES:
+        best = np.max(np.concatenate(ends + [value for *_, value in grids]))
+        grids = [_ref_refined(params, sweep, n, g, ~(_ref_cell_bounds(params, g) < best), stride)
+                 for sweep, g in zip(sweeps, grids)]
+    best = np.max(np.concatenate(ends + [value for *_, value in grids]))
+    bounds = [_ref_cell_bounds(params, g) for g in grids]
+    skip = [b < best for b in bounds]
+
+    def scan(runs):
+        out = []
+        for (order, segment, pin, lo, hi), f, run in zip(sweeps, fs, runs):
+            rhos = [lo, hi] + (critical_points(f, lo, hi, runs=run) if hi > lo else [])
+            floor = np.where(np.arange(len(rhos)) < 2, 0.0, -np.inf)
+            out += [(float(rho), float(val), order, segment, pin)
+                    for rho, val in zip(rhos, f(np.array(rhos), floor))]
+        return out
+
+    candidates = scan([_ref_live_runs(k, ~s, n) for (k, *_), s in zip(grids, skip)])
+    winner = max(c[1] for c in candidates)
+    if all(np.all(b[s] < winner) for b, s in zip(bounds, skip)):
+        return candidates
+    return scan([None] * len(sweeps))
+
+
+def _sweeps_of(params):
+    """The four smooth sweeps sic_sumrate_numeric hands the scan."""
+    return [
+        (order, segment, pin_user1, getattr(bp, start), bp.rho_c)
+        for order in DecodingOrder
+        for bp in [sic_breakpoints(params, order)]
+        for pin_user1, segment, start in _SWEEPS
+    ]
+
+
+def _scanned(module, sweep, scan, params):
+    """(repr of scan's candidates, array nodes it hands module's sweep)."""
+    nodes = [0]
+    evaluate = getattr(module, sweep)
+
+    def counted(*args):
+        if isinstance(args[-1], np.ndarray):
+            nodes[0] += args[-1].size
+        return evaluate(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, sweep, counted)
+        return repr(scan(params, _sweeps_of(params))), nodes[0]
+
+
+def _batch_is_per_sweep(params):
+    """The batched scan finds the per-sweep scan's candidates, bit for bit,
+    from the same number of nodes."""
+    return _scanned(sic, "_sweep", sic._sweep_candidates, params) == _scanned(
+        sys.modules[__name__], "_ref_sweep", _ref_sweep_candidates, params)
+
+
+# the six presets but fig3d, whose indicator fee has no sweeps
+_SMOOTH_PRESETS = [p for p in _PRESETS.values() if not isinstance(p.cost, sm.ConstCost)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_SMOOTH)
+@example(_PRESETS["fig3a"])
+@example(_PRESETS["fig3b"])
+@example(_PRESETS["fig3c"])
+@example(_PRESETS["fig4a"])
+@example(_PRESETS["fig4b"])
+@example(_CORNER)
+@example(_PLATEAUS[0])
+@example(_PLATEAUS[1])
+def test_the_batched_scan_finds_the_per_sweep_candidates(params):
+    assert _batch_is_per_sweep(params)
+
+
+def test_the_batched_scan_matches_on_avx2_level_dispatch():
+    """The batch gives each node the bits its sweep alone would get, since
+    numpy's elementwise kernels do not depend on where an element sits in
+    an array; rerun the parity check on AVX2-level numpy dispatch, which
+    NPY_DISABLE_CPU_FEATURES sets for the child process only."""
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+        "import test_classical_sic as t\n"
+        "channels = t._SMOOTH_PRESETS + [t._CORNER] + t._smooth_draws(6)\n"
+        "print(cpu['X86_V4'], [t._batch_is_per_sweep(p) for p in channels].count(False))\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=str(pathlib.Path(sm.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", child, str(pathlib.Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "0"], out.stderr
+
+
+# ---------------------------------------------------------------------------
+# balance roots shared by both schemes
+# ---------------------------------------------------------------------------
+
+
+def _ref_root(params, fee):
+    """A balance root on the checked evaluation, as every solver took it."""
+    def resid(x):
+        return params.eh.eval(x * params.a) - fee(x)
+
+    if resid(0.0) >= 0.0:
+        return 0.0
+    return bisect_root(resid, 0.0, 1.0, RootConfig(abs_tol=1e-14, max_iter=200))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_SMOOTH)
+@example(_CORNER)
+def test_simul_single_user_roots_are_sics_clean_bound_roots(params):
+    cost = params.cost
+    with pytest.MonkeyPatch.context() as m:  # each root solved cold
+        m.setattr(cs, "_shared_root", cs._shared_root.__wrapped__)
+        m.setattr(sic, "_breakpoints", sic._breakpoints.__wrapped__)
+        simul = simul_breakpoints(params)
+        first = sic_breakpoints(params, DecodingOrder.USER1_FIRST)
+        second = sic_breakpoints(params, DecodingOrder.USER2_FIRST)
+    user1 = _ref_root(params, lambda x: cost.eval(sm.rate_bound_user1(params, x)))
+    user2 = _ref_root(params, lambda x: cost.eval(sm.rate_bound_user2(params, x)))
+    assert simul.rho_1.hex() == first.rho_1.hex() == user2.hex()
+    assert simul.rho_2.hex() == second.rho_2.hex() == user1.hex()
+
+
+def _all_four(params):
+    """repr of the four classical solvers on params, errors included."""
+    return [_outcome(solve, params) for solve in (
+        sm.sumrate_simultaneous, sic_sumrate_numeric, sm.mdrb_simultaneous, sm.mdrb_sic)]
+
+
+@pytest.mark.parametrize("params, most", [
+    *((p, 7) for p in _smooth_draws(6)),
+    (_PRESETS["fig4b"], 7),
+    (iv_classical(sm.ConstCost(0.008)), 2),  # both fees affordable
+    (iv_classical(sm.ConstCost(0.013)), 2),  # the single fee only
+])
+def test_each_channel_solves_each_balance_root_once(params, most, monkeypatch):
+    calls = []
+    root = cs._balance_root
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(cs, "_balance_root", counted)
+    cs._shared_root.cache_clear()
+    sic._breakpoints.cache_clear()
+    _all_four(params)
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("simul_first", [True, False])
+def test_each_scheme_keeps_its_infeasibility_message(simul_first):
+    params = iv_classical(sm.ConstCost(0.025))  # above the 24 mW harvest ceiling
+    joint = "harvest cannot cover the joint decoding cost at any PS factor"
+    single = "harvest cannot cover the single decoding cost at any PS factor"
+    want = {
+        "simul": [f"InfeasibleRegionError: {joint}", repr(joint),
+                  f"InfeasibleRegionError: {joint}"],
+        "sic": [f"InfeasibleRegionError: {single}", repr(f"{single}; {single}"),
+                "InfeasibleRegionError: single decoding fee unaffordable"],
+    }
+    solves = {
+        "simul": (sm.sumrate_simultaneous, lambda p: sm.mdrb_simultaneous(p).empty_reason,
+                  simul_breakpoints),
+        "sic": (lambda p: sic_breakpoints(p, DecodingOrder.USER2_FIRST),
+                lambda p: sm.mdrb_sic(p).empty_reason, sic_sumrate_numeric),
+    }
+    cs._shared_root.cache_clear()
+    sic._breakpoints.cache_clear()
+    for scheme in ("simul", "sic") if simul_first else ("sic", "simul"):
+        got = [_outcome(solve, params) for solve in solves[scheme]]
+        assert got == want[scheme], scheme
+
+
+@pytest.mark.parametrize("params", [
+    _PRESETS["fig4b"], _CORNER, iv_classical(sm.LinCost(2e-3)), iv_classical(sm.ConstCost(0.008)),
+], ids=["fig4b", "corner", "lin", "const"])
+def test_warm_shared_roots_equal_cold_ones(params, monkeypatch):
+    with monkeypatch.context() as m:  # every root solved afresh
+        m.setattr(cs, "_shared_root", cs._shared_root.__wrapped__)
+        m.setattr(sic, "_breakpoints", sic._breakpoints.__wrapped__)
+        fresh = _all_four(params)
+    cs._shared_root.cache_clear()
+    sic._breakpoints.cache_clear()
+    cold = _all_four(params)
+    hits = cs._shared_root.cache_info().hits
+    warm = _all_four(params)
+    assert cs._shared_root.cache_info().hits > hits
+    assert warm == cold == fresh
 
 
 # ---------------------------------------------------------------------------

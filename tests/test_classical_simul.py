@@ -355,11 +355,11 @@ def _solves(params):
 def test_warm_rho_c_equals_a_cold_one(cost, monkeypatch):
     params = iv_classical(cost, p1=0.7, p2=0.3)
     with monkeypatch.context() as m:  # every solve from scratch
-        m.setattr(cs, "_joint_root", cs._joint_root.__wrapped__)
+        m.setattr(cs, "_shared_root", cs._shared_root.__wrapped__)
         fresh = _solves(params)
-    cs._joint_root.cache_clear()
+    cs._shared_root.cache_clear()
     cold = _solves(params)
-    hits = cs._joint_root.cache_info().hits
+    hits = cs._shared_root.cache_info().hits
     warm = _solves(params)
-    assert cs._joint_root.cache_info().hits > hits
+    assert cs._shared_root.cache_info().hits > hits
     assert warm == cold == fresh
