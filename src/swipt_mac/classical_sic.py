@@ -14,7 +14,6 @@ bracketed on [0,1]; the paper's literal balancing form
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -142,33 +141,23 @@ def sic_slacks(params: ClassicalParams, r1, r2, rho, order: DecodingOrder) -> di
 
 
 def sic_breakpoints(params: ClassicalParams, order: DecodingOrder) -> SicBreakpoints:
-    """Solve the three sweep-delimiting equations for one decoding order,
-    memoized on (params, order) (an unhashable model is solved afresh)."""
-    try:
-        hash(params)
-        solve = _breakpoints
-    except TypeError:
-        solve = _breakpoints.__wrapped__
-    return SicBreakpoints(*solve(params, order), decoding_order=order)
-
-
-@functools.lru_cache(maxsize=8)
-def _breakpoints(params: ClassicalParams, order: DecodingOrder) -> tuple:
-    """(rho_c, rho_1, rho_2); equal params (p2 = 0.0 and -0.0) share one.
-    Each is a shared balance root: user 2's clean stream is also simul's
-    rho_1, user 1's its rho_2, and ConstCost's single fee its rho_c."""
+    """Solve the three sweep-delimiting equations for one decoding order.
+    Each is a shared balance root (see _root): user 2's clean stream is
+    also simul's rho_1, user 1's its rho_2, and ConstCost's single fee its
+    rho_c."""
     if isinstance(params.cost, ConstCost):
         single = _root(params, 1, "single")
         try:
             both = _root(params, 2, "double")
         except InfeasibleRegionError:
             both = math.nan  # double fee never affordable
-        return both, single, single
+        return SicBreakpoints(both, single, single, decoding_order=order)
     user1, user2 = _stream(params, order, True), _stream(params, order, False)
-    return (
+    return SicBreakpoints(
         _root(params, (user1, user2), "two-message"),
         _root(params, (user2,), "second-message"),
         _root(params, (user1,), "first-message"),
+        decoding_order=order,
     )
 
 

@@ -16,7 +16,6 @@ against).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .models import (
     ModelDomainError,
     SolveReport,
 )
-from .numerics import RootConfig, bisect_root
+from .numerics import BracketError, RootConfig, bisect_root
 from .region import BoundaryCurve, frontier
 
 __all__ = [
@@ -142,17 +141,17 @@ def simul_slacks(params: ClassicalParams, r1, r2, rho) -> dict:
 def _balance_root(params, fee):
     """Smallest rho in [0, 1] whose harvest psi(rho*a) covers fee(rho), a
     non-increasing decoding fee in W: the root of the non-decreasing
-    psi(rho*a) - fee(rho), by bisection; NaN when not even rho = 1 does."""
+    psi(rho*a) - fee(rho), by bisection, whose own bracket test evaluates
+    each end once; NaN when not even rho = 1 does."""
     eh, a = params.eh, params.a
 
     def resid(x):  # x*a >= 0, so psi skips eval's domain check
         return eh._scalar_kernel(x * a) - fee(x)
 
-    if resid(0.0) >= 0.0:  # free decoding at rho=0 already covers the fee
-        return 0.0
-    if resid(1.0) < 0.0:
-        return math.nan
-    return bisect_root(resid, 0.0, 1.0, _ROOT)
+    try:
+        return bisect_root(resid, 0.0, 1.0, _ROOT)
+    except BracketError:  # rho = 0 already covers the fee, or not even rho = 1
+        return 0.0 if resid(0.0) >= 0.0 else math.nan
 
 
 def _fee(params, streams):
@@ -171,26 +170,15 @@ def _fee(params, streams):
     return lambda x: phi(_snr_bound(s1, m1, n_p, x)) + phi(_snr_bound(s2, m2, n_p, x))
 
 
-@functools.lru_cache(maxsize=32)
-def _shared_root(params, streams):
-    """_balance_root of _fee(params, streams), memoized: a key fixes every
-    float operation of its residual, so both schemes and both SIC orders
-    share each root they have in common (equal params, p2 = 0.0 and -0.0,
-    share one)."""
-    return _balance_root(params, _fee(params, streams))
-
-
 def _root(params, streams, what):
     """The balance root of the fee of streams (see _fee), solved once per
-    (params, streams) (an unhashable model is solved afresh); raises
-    InfeasibleRegionError naming the what decoding cost when the harvest
-    never covers it."""
-    try:
-        hash(params)
-        solve = _shared_root
-    except TypeError:
-        solve = _shared_root.__wrapped__
-    rho = solve(params, streams)
+    params object and kept in its memo: a key fixes every float operation
+    of its residual, so both schemes and both SIC orders share each root
+    they have in common; raises InfeasibleRegionError naming the what
+    decoding cost when the harvest never covers it."""
+    rho = params._memo.get(streams)
+    if rho is None:
+        rho = params._memo[streams] = _balance_root(params, _fee(params, streams))
     if math.isnan(rho):
         raise InfeasibleRegionError(
             f"harvest cannot cover the {what} decoding cost at any PS factor"

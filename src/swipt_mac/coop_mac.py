@@ -41,7 +41,6 @@ families, and the better orientation wins.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -251,16 +250,12 @@ def _zoom_points(nb):
     return x, lo, hi
 
 
-@functools.lru_cache(maxsize=8)
 def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
     """The weight-independent stages of the trace, for both orientations
     as rows: the axis ends p21_end (p12_end is its reverse) and p21*(x)
     bracketed by [lo, hi] to tol on the p12 grid x, with the number of
-    test batches they took.  The arrays are read-only, since the memo hands
-    them to every later solve of the network.  It keeps no per-network
-    constants: a solve takes those from its own params, which can differ
-    from the key they hit while comparing equal (a budget of -0.0 leaves
-    pu1 = -0.0)."""
+    test batches they took.  The arrays are read-only, since _trace keeps
+    them in the network's memo for every later solve of it."""
     both = _Batch(params, np.array([0, 1]))
 
     # the axes: p21* at p12 = 0 in each orientation, capped by the budgets;
@@ -289,13 +284,9 @@ def _boundary(params: CoopParams, scan: ScanConfig) -> tuple:
 def _trace(params: CoopParams, weights: np.ndarray, scan: ScanConfig) -> list:
     """Best boundary point of each weight pair (rows of `weights`) in both
     orientations, as candidate records of the network as given."""
-    try:
-        hash(params)
-    except TypeError:  # a custom model that cannot be hashed: no memo
-        boundary = _boundary.__wrapped__
-    else:
-        boundary = _boundary
-    p21_end, p12_end, x, tol, lo, hi, passes = boundary(params, scan)
+    if scan not in params._memo:
+        params._memo[scan] = _boundary(params, scan)
+    p21_end, p12_end, x, tol, lo, hi, passes = params._memo[scan]
 
     # every weight pair of both orientations is a row from here on
     n_w = weights.shape[0]
@@ -423,13 +414,12 @@ def coop_solve_general(
       splitting the two p12 cells around the incumbent 16 ways and
       bisecting every new point inside the bracket its neighbours give.
 
-    The axis ends and the grid do not depend on the weights, so a small
-    LRU memo keyed by the network and the scan keeps them (read-only) for
-    the last few networks solved: a repeat solve of a network, at any
-    weights, runs only the zoom, and returns what a first solve would,
-    bit for bit.  A network whose models cannot be hashed is traced afresh
-    on every solve; a model hashed by identity must not change after its
-    first solve.
+    The axis ends and the grid do not depend on the weights, so the
+    params object keeps them (read-only) in its memo, by scan: a repeat
+    solve of the same object, at any weights, runs only the zoom, and
+    returns what a first solve would, bit for bit.  A copy, such as
+    dataclasses.replace(params), starts with an empty memo; a network's
+    models must not change after its first solve.
 
     The returned rho is the low end of the optimal PS-factor interval
     [max(0, rho_min), rho_hi] (notes["rho_interval"]), where the harvest

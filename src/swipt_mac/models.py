@@ -448,6 +448,9 @@ class ClassicalParams:
     n_p: float
     eh: EhModel
     cost: CostModel
+    # per-channel work the solvers share (balance roots, by fee); equality,
+    # hashing, repr and dataclasses.replace ignore it, so a copy starts empty
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_finite(self.h1_sq, self.h2_sq, self.p1, self.p2, self.n, self.n_p)
@@ -502,6 +505,9 @@ class CoopParams:
     cost_dest: CostModel
     cost_user1: CostModel
     cost_user2: CostModel
+    # per-network work the solvers share (boundary traces, by scan), kept
+    # out of equality, hashing, repr and copies as ClassicalParams' memo is
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_finite(

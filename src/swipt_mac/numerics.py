@@ -90,7 +90,7 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):  # signs, not a product that can underflow
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
@@ -103,7 +103,7 @@ def bisect_root(f, lo, hi, cfg: RootConfig = _DEFAULT_ROOT):
             raise EvaluationError(f"NaN at x={mid}")
         if fm == 0.0:
             return mid
-        if flo * fm < 0.0:
+        if (flo < 0.0) != (fm < 0.0):
             hi = mid
         else:
             lo, flo = mid, fm

@@ -73,6 +73,19 @@ def classical_draws(draw):
     )
 
 
+def count_calls(monkeypatch, module, name):
+    """A list that gains the arguments of every later call of module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def nudge(x, ulps):
     """x moved by ulps units in the last place, floored at 0.0."""
     for _ in range(abs(ulps)):

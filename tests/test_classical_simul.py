@@ -1,5 +1,6 @@
 """Simultaneous-decoding region: breakpoints, boundary sweeps, sum rate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,15 @@ from swipt_mac.classical_simul import (
 )
 from swipt_mac.region import BoundaryCurve, frontier
 
-from conftest import check_slack_parity, classical_draws, fee_cap, iv_classical, iv_eh, nudge
+from conftest import (
+    check_slack_parity,
+    classical_draws,
+    count_calls,
+    fee_cap,
+    iv_classical,
+    iv_eh,
+    nudge,
+)
 
 
 # the paper's literal balancing functions: roots at level n_p give the
@@ -341,25 +350,24 @@ def test_slacks_reject_a_point_outside_the_domain(r1, r2, rho, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _solves(params):
-    """Everything a channel's rho_c feeds, as one repr."""
+def _solves(params, fresh=False):
+    """Everything a channel's rho_c feeds, as one repr; fresh gives each
+    call its own copy of params, whose memo starts empty."""
+    own = dataclasses.replace if fresh else (lambda p: p)
     return repr([
-        simul_breakpoints(params),
-        sm.sumrate_simultaneous(params),
-        sm.sumrate_simultaneous(params, drop_denominator_noise=True),
-        sm.mdrb_simultaneous(params, n_points=64),
+        simul_breakpoints(own(params)),
+        sm.sumrate_simultaneous(own(params)),
+        sm.sumrate_simultaneous(own(params), drop_denominator_noise=True),
+        sm.mdrb_simultaneous(own(params), n_points=64),
     ])
 
 
 @pytest.mark.parametrize("cost", [sm.ExpCost(1e-3), sm.LogCost(1e-3), sm.ConstCost(0.013)])
 def test_warm_rho_c_equals_a_cold_one(cost, monkeypatch):
     params = iv_classical(cost, p1=0.7, p2=0.3)
-    with monkeypatch.context() as m:  # every solve from scratch
-        m.setattr(cs, "_shared_root", cs._shared_root.__wrapped__)
-        fresh = _solves(params)
-    cs._shared_root.cache_clear()
+    fresh = _solves(params, fresh=True)  # every solve from scratch
     cold = _solves(params)
-    hits = cs._shared_root.cache_info().hits
+    roots = count_calls(monkeypatch, cs, "_balance_root")
     warm = _solves(params)
-    assert cs._shared_root.cache_info().hits > hits
+    assert not roots
     assert warm == cold == fresh

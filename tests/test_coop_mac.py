@@ -22,7 +22,7 @@ from swipt_mac.coop_mac import (
 )
 from swipt_mac.numerics import ConvergenceError, ScanConfig
 
-from conftest import iv_coop, iv_eh
+from conftest import count_calls, iv_coop, iv_eh
 
 FAST = ScanConfig(grid_points=31, refine_iters=12)
 
@@ -358,16 +358,16 @@ def test_mdrb_raises_on_an_invalid_solve(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _cold_then_warm(solve):
-    """solve() on an empty memo, and again after a solve at other weights
-    left the network's boundary in it."""
-    coop_mac._boundary.cache_clear()
+def _cold_then_warm(params, solve, monkeypatch):
+    """solve() on an empty memo of params, and again after a solve at other
+    weights left the network's boundary in it: the warm solve traces none."""
+    params._memo.clear()
     cold = solve()
-    coop_mac._boundary.cache_clear()
+    params._memo.clear()
     solve(other=True)
-    hits = coop_mac._boundary.cache_info().hits
+    traces = count_calls(monkeypatch, coop_mac, "_boundary")
     warm = solve()
-    assert coop_mac._boundary.cache_info().hits > hits
+    assert not traces
     return cold, warm
 
 
@@ -385,68 +385,69 @@ _MIXED = iv_coop(
      (iv_coop(0.008, 1e-3, h21=0.004).swapped(), 256), (_MIXED, 281)],
     ids=["network", "swapped", "mixed-fees"],
 )
-def test_warm_solves_equal_cold_ones(params, passes):
+def test_warm_solves_equal_cold_ones(params, passes, monkeypatch):
     def solve(other=False):
         return coop_solve_general(params, *((0.9, 0.1) if other else (0.3, 0.7)), FAST)
 
-    cold, warm = _cold_then_warm(solve)
+    cold, warm = _cold_then_warm(params, solve, monkeypatch)
     assert warm == cold  # every field, notes included
     assert repr(warm) == repr(cold)
     assert warm.notes["passes"] == passes
 
 
-def test_warm_frontier_equals_a_cold_one():
+def test_warm_frontier_equals_a_cold_one(monkeypatch):
     params = iv_coop(0.008, 1e-3, h21=0.004)
     weights = [(t, 1.0 - t) for t in (0.0, 0.2, 0.5, 0.8, 1.0)]
 
     def frontier(other=False):
         return coop_mdrb(params, weights=[(0.6, 0.4)] if other else weights, scan=FAST)
 
-    cold, warm = _cold_then_warm(frontier)
+    cold, warm = _cold_then_warm(params, frontier, monkeypatch)
     assert repr(warm) == repr(cold)
 
 
-def test_warm_solve_takes_its_constants_from_its_own_network():
-    # the two networks hit one memo entry, but a budget of -0.0 leaves
-    # pu1 = -0.0 where one of 0.0 leaves 0.0
+def test_warm_solve_takes_its_constants_from_its_own_network(monkeypatch):
+    # equal networks each keep their own memo: a budget of -0.0 leaves
+    # pu1 = -0.0 where one of 0.0 leaves 0.0, cold and warm
     zero = iv_coop(0.008, 1e-3, p_u1_budget=0.0)
     minus = iv_coop(0.008, 1e-3, p_u1_budget=-0.0)
     assert zero == minus
 
-    def solve(other=False):
-        return coop_solve_general(zero if other else minus, 0.5, 0.5, FAST)
+    def solve(params):
+        return coop_solve_general(params, 0.5, 0.5, FAST)
 
-    cold, warm = _cold_then_warm(solve)
+    cold = solve(minus)
+    solve(zero)  # fills its own memo, not minus'
+    traces = count_calls(monkeypatch, coop_mac, "_boundary")
+    warm = solve(minus)
+    assert not traces
     assert repr(warm) == repr(cold)
-    assert math.copysign(1.0, warm.alloc.pu1) == -1.0
+    assert math.copysign(1.0, cold.alloc.pu1) == math.copysign(1.0, warm.alloc.pu1) == -1.0
+    assert math.copysign(1.0, solve(zero).alloc.pu1) == 1.0
 
 
 def test_memo_arrays_are_read_only():
-    *arrays, passes = coop_mac._boundary(iv_coop(0.008, 1e-3), FAST)
+    params = iv_coop(0.008, 1e-3)
+    coop_solve_general(params, 0.5, 0.5, FAST)
+    *arrays, passes = params._memo[FAST]
     assert passes > 0
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
 
 
-def test_memo_stays_bounded():
-    coop_mac._boundary.cache_clear()
-    size = coop_mac._boundary.cache_info().maxsize
-    for k in range(size + 3):
-        coop_solve_general(iv_coop(0.008, 1e-3, p_u1_budget=0.5 + 0.01 * k), 0.5, 0.5, FAST)
-    assert coop_mac._boundary.cache_info().currsize == size
-
-
 class _UnhashableExp(sm.ExpCost):
     __hash__ = None
 
 
-def test_unhashable_model_is_traced_afresh():
-    coop_mac._boundary.cache_clear()
+def test_unhashable_model_is_memoized(monkeypatch):
     params = iv_coop(0.008, 1e-3, cost_user1=_UnhashableExp(1e-3))
-    sol = coop_solve_general(params, 0.5, 0.5, FAST)
-    assert coop_mac._boundary.cache_info().currsize == 0
-    assert sol == coop_solve_general(iv_coop(0.008, 1e-3), 0.5, 0.5, FAST)
+    twin = coop_solve_general(iv_coop(0.008, 1e-3), 0.5, 0.5, FAST)
+    cold = coop_solve_general(params, 0.5, 0.5, FAST)
+    traces = count_calls(monkeypatch, coop_mac, "_boundary")
+    warm = coop_solve_general(params, 0.5, 0.5, FAST)
+    assert not traces
+    assert warm == cold == twin
 
 
 @contextlib.contextmanager

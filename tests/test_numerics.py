@@ -31,6 +31,16 @@ def test_bisect_root_requires_a_sign_change():
         sm.bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_bisect_root_reads_signs_at_any_scale():
+    # below ~1e-162 in magnitude a product of two values underflows to
+    # (-)0.0, so a product-based sign test picks the wrong half
+    root = sm.bisect_root(lambda x: x - 0.3, 0.0, 1.0)
+    for scale in (1e-150, 1e-170, 1e-300):
+        assert sm.bisect_root(lambda x: (x - 0.3) * scale, 0.0, 1.0) == root
+        with pytest.raises(BracketError):
+            sm.bisect_root(lambda x: -(1.0 + x) * scale, 0.0, 1.0)
+
+
 def test_bisect_root_rejects_nan_evaluations():
     def f(x):
         return math.nan if 0.4 < x < 0.6 else x - 0.5

@@ -1,6 +1,7 @@
 """The public surface: the package re-exports what its modules export."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -11,7 +12,7 @@ from dataclasses import fields
 
 import swipt_mac as sm
 
-from conftest import iv_classical
+from conftest import iv_classical, iv_coop
 
 MODULES = (
     "models", "numerics", "region", "classical_simul", "classical_sic",
@@ -166,3 +167,43 @@ def test_each_classical_sweep_is_stated_once():
         "user1-pinned": [("classical_simul.py", True)],
         "user2-pinned": [("classical_simul.py", True)],
     }
+
+
+def test_per_channel_work_has_one_home_the_params_memo():
+    """ClassicalParams and CoopParams each carry one private memo, the only
+    place that keeps the work the solvers share per channel: equality,
+    hashing and repr ignore it, and a replaced or swapped copy starts with
+    an empty one.  src/ keeps no function cache and hashes no params
+    (BoundaryCurve's cached_property is a view of one curve, not a solver
+    memo)."""
+    scan = sm.ScanConfig(grid_points=31, refine_iters=12)
+    solves = (
+        (iv_classical(sm.ExpCost(1e-3)), sm.sic_sumrate_numeric),
+        (iv_coop(0.008, 1e-3), lambda p: sm.coop_solve_general(p, 0.5, 0.5, scan)),
+    )
+    for params, solve in solves:
+        cold = dataclasses.replace(params)
+        before = hash(params), repr(params)
+        solve(params)
+        assert params._memo and not cold._memo
+        assert params == cold and (hash(params), repr(params)) == before
+        for copy in (dataclasses.replace(params), params.swapped(), params.swapped().swapped()):
+            assert copy._memo == {} and copy._memo is not params._memo
+        assert params.swapped().swapped() == params
+
+    found = []
+    for path in sorted(pathlib.Path(sm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found.append(f"{path.name}:{node.lineno} from functools")
+            elif isinstance(node, ast.Import) and path.stem in (
+                "classical_simul", "classical_sic", "coop_mac"
+            ):
+                found += [f"{path.name}:{node.lineno} import functools"
+                          for a in node.names if a.name == "functools"]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hash"
+                  and any(getattr(a, "id", None) == "params" for a in node.args)):
+                found.append(f"{path.name}:{node.lineno} hash(params)")
+    assert found == []
